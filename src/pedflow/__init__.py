@@ -25,7 +25,6 @@ from .engine import (
     run_scenario,
 )
 from .fd import FDParams, FDState, critical_density, density_ratio, effective_jam_density, effective_speed, flow
-from .ltm import ConservationError, CumulativeCurve, advance, receiving_flow, sending_flow
 from .loading import LoadingResult, load_network as load_flows
 from .network import (
     DemandEntry,
@@ -49,7 +48,6 @@ from .nodemodel import (
     NodeFlowProblem,
     NodeFlowSolution,
     TurningFractions,
-    look_ahead_term,
     paths_to_turning_fractions,
     solve_node,
 )

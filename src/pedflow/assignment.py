@@ -12,7 +12,6 @@ route times, normalized by the latter.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -20,99 +19,45 @@ import numpy as np
 
 from . import pvdf
 from .loading import load_network
-from .network import Network, Path, TimeGrid, enumerate_paths
+from .network import Network, Path, TimeGrid, enumerate_paths, times_to
 from .nodemodel import paths_to_turning_fractions
 
 
-class CostField:
-    """Per-link cost trajectories on the grid; column views act like mappings."""
-
-    def __init__(self, arr: np.ndarray, link_order):
-        self.arr = arr
-        self.link_order = list(link_order)
-        self.index = {lid: i for i, lid in enumerate(self.link_order)}
-
-    @property
-    def n_bins(self) -> int:
-        return self.arr.shape[1]
-
-    def at(self, link_id: int, k_idx: int) -> float:
-        return float(self.arr[self.index[link_id], min(k_idx, self.n_bins - 1)])
-
-    def column(self, k_idx: int) -> "_CostColumn":
-        return _CostColumn(self, min(k_idx, self.n_bins - 1))
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.arr).all())
+def free_flow_costs(network: Network, grid: TimeGrid, penalties=()) -> np.ndarray:
+    """Free-flow link costs, shape (n_links, n_bins), rows in sorted link id order."""
+    arrays = network.arrays
+    costs = np.tile((arrays.length / arrays.v_f)[:, None], (1, grid.n_bins))
+    _apply_penalties(costs, network, grid, penalties)
+    return costs
 
 
-class _CostColumn:
-    def __init__(self, field: CostField, k_idx: int):
-        self._field = field
-        self._k = k_idx
-
-    def __getitem__(self, link_id: int) -> float:
-        return float(self._field.arr[self._field.index[link_id], self._k])
-
-
-def free_flow_costs(network: Network, grid: TimeGrid, penalties=()) -> CostField:
-    order = network.sorted_link_ids()
-    tau = np.array([network.links[l].free_flow_time for l in order])
-    arr = np.tile(tau[:, None], (1, grid.n_bins))
-    field = CostField(arr, order)
-    _apply_penalties(field, grid, penalties)
-    return field
-
-
-def costs_from_loading(network, grid, result, params, penalties=()) -> CostField:
-    """Cost trajectories from a loading's measured directional inflows."""
-    order = result.link_order
-    tau = np.array([network.links[l].free_flow_time for l in order])
-    cap = np.array([network.links[l].capacity for l in order])
+def costs_from_loading(network, grid, result, params, penalties=()) -> np.ndarray:
+    """Link costs from a loading's measured directional inflows, shaped like free_flow_costs."""
+    arrays = network.arrays
     u = result.inflow_rates()
-    opp_rows = np.array(
-        [result.link_index[network.links[l].opposite] if network.links[l].opposite is not None else -1
-         for l in order],
-        dtype=int,
-    )
-    u_opp = np.where((opp_rows >= 0)[:, None], u[opp_rows], 0.0)
-    arr = pvdf.link_cost_profile(tau, cap, params, u, u_opp)
-    field = CostField(arr, order)
-    _apply_penalties(field, grid, penalties)
-    return field
+    u_opp = np.where((arrays.twin >= 0)[:, None], u[arrays.twin], 0.0)
+    costs = pvdf.link_cost_profile(arrays.length / arrays.v_f, arrays.capacity, params, u, u_opp)
+    _apply_penalties(costs, network, grid, penalties)
+    return costs
 
 
-def _apply_penalties(field: CostField, grid: TimeGrid, penalties) -> None:
+def _apply_penalties(costs: np.ndarray, network: Network, grid: TimeGrid, penalties) -> None:
     """penalties: iterable of (link id, start_s, added_cost_s)."""
     for lid, start_s, cost_s in penalties:
-        row = field.index[lid]
         start_bin = max(0, int(math.ceil(start_s / grid.dt - 1e-9)))
-        field.arr[row, start_bin:] += cost_s
+        costs[network.arrays.index[lid], start_bin:] += cost_s
 
 
 def shortest_paths(network: Network, costs_at_k, destination: int):
     """Minimal instantaneous route times toward one destination at one instant.
 
-    Returns (times, successors): times maps node -> minimal route time to the
-    destination (missing means unreachable, i.e. infinite); successors maps
-    node -> the outgoing link of the cheapest route, smallest next node id
-    first on ties so the implied paths are lexicographically smallest.
+    costs_at_k maps link id to its cost at that instant.  Returns (times,
+    successors): times maps node -> minimal route time to the destination
+    (missing means unreachable, i.e. infinite); successors maps node -> the
+    outgoing link of the cheapest route, smallest next node id first on ties
+    so the implied paths are lexicographically smallest.
     """
-    dist: dict[int, float] = {destination: 0.0}
-    heap = [(0.0, destination)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf):
-            continue
-        for lid in network.in_links[node]:
-            link = network.links[lid]
-            c = costs_at_k[lid]
-            if c < 0:
-                raise ValueError(f"negative cost on link {lid}")
-            nd = d + c
-            if nd < dist.get(link.from_node, math.inf) - 1e-15:
-                dist[link.from_node] = nd
-                heapq.heappush(heap, (nd, link.from_node))
+    dist = times_to(network, destination, costs_at_k)
     succ: dict[int, int] = {}
     for node, d in dist.items():
         if node == destination:
@@ -184,7 +129,7 @@ class AssignmentState:
         self.shortest_times: dict[tuple[int, int], np.ndarray] = {}
         self.iteration = 0
         self.gap_history: list[float] = []
-        self.costs: CostField | None = None
+        self.costs: np.ndarray | None = None
         self.loading = None
 
     def ensure_path(self, od, path: Path) -> int:
@@ -207,9 +152,6 @@ class AssignmentState:
                     f = flows[row, pos]
                     if f > 1e-12:
                         yield path, k, float(f)
-
-    def total_demand(self) -> float:
-        return float(sum(r.sum() for r in self.rates.values()))
 
 
 def update_flows(state: AssignmentState, aon_paths: dict, iteration: int) -> dict:
@@ -248,7 +190,7 @@ def run_due(network: Network, demand, cfg, loader=None):
     """Iterate route choice and loading until the relative gap closes.
 
     Returns (AssignmentState, ConvergenceReport); the state keeps the final
-    loading and cost field.  `loader` may be swapped out (e.g. for a static
+    loading and link costs.  `loader` may be swapped out (e.g. for a static
     assignment in tests); the default is the link-transmission loader.
     """
     grid = TimeGrid(cfg.dt, cfg.horizon)
@@ -268,17 +210,27 @@ def run_due(network: Network, demand, cfg, loader=None):
                 state.ensure_path(od, path)
     costs = free_flow_costs(network, grid, penalties)
     destinations = sorted({od[1] for od in state.ods})
-    dest_bins = {
-        dest: sorted({k for od in state.ods if od[1] == dest for k in state.k_bins[od]})
-        for dest in destinations
-    }
+    departures: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for od in state.ods:
+        for pos, k in enumerate(state.k_bins[od]):
+            departures.setdefault(k, []).append((od, pos))
+    order, index, last = network.arrays.order, network.arrays.index, grid.n_bins - 1
 
-    def build_trees(cost_field):
-        trees = {}
-        for dest in destinations:
-            trees[dest] = {}
-            for k in dest_bins[dest]:
-                trees[dest][k] = shortest_paths(network, cost_field.column(k), dest)
+    def build_trees(costs, path_times=None):
+        """Trees per destination and departure bin; fills path_times when given.
+
+        Each bin's {link id: cost} mapping is built once, serves the trees and
+        the route times of that bin, and is dropped before the next one.
+        """
+        trees = {dest: {} for dest in destinations}
+        for k in sorted(departures):
+            column = dict(zip(order, costs[:, min(k, last)].tolist()))
+            for dest in sorted({od[1] for od, _ in departures[k]}):
+                trees[dest][k] = shortest_paths(network, column, dest)
+            if path_times is not None:
+                for od, pos in departures[k]:
+                    for row, path in enumerate(state.paths[od]):
+                        path_times[od][row, pos] = pvdf.instantaneous_route_time(path, column)
         return trees
 
     trees = build_trees(costs)
@@ -299,26 +251,23 @@ def run_due(network: Network, demand, cfg, loader=None):
             aon[od] = chosen
         update_flows(state, aon, n)
 
-        successors = {dest: {k: trees[dest][k][1] for k in dest_bins[dest]} for dest in destinations}
+        successors = {dest: {k: tree[1] for k, tree in trees[dest].items()} for dest in destinations}
         fractions = paths_to_turning_fractions(
-            state.path_flow_items(), network, grid, cost_fn=costs.at, successors=successors,
+            state.path_flow_items(), network, grid,
+            cost_fn=lambda lid, k: float(costs[index[lid], min(k, last)]), successors=successors,
         )
         result = loader(network, grid, demand, fractions, state)
         new_costs = costs_from_loading(network, grid, result, cfg.pvdf, penalties)
-        if not new_costs.is_finite():
+        if not np.isfinite(new_costs).all():
             raise RuntimeError("loading produced non-finite link costs; aborting assignment")
 
-        trees = build_trees(new_costs)
-        for od in state.ods:
-            r, s = od
-            bins = state.k_bins[od]
-            pt = np.zeros((len(state.paths[od]), len(bins)))
-            for row, path in enumerate(state.paths[od]):
-                for pos, k in enumerate(bins):
-                    pt[row, pos] = pvdf.instantaneous_route_time(path, new_costs.column(k))
-            state.path_times[od] = pt
-            state.shortest_times[od] = np.array(
-                [trees[s][k][0].get(r, math.inf) for k in bins]
+        state.path_times = {
+            od: np.zeros((len(state.paths[od]), len(state.k_bins[od]))) for od in state.ods
+        }
+        trees = build_trees(new_costs, state.path_times)
+        for r, s in state.ods:
+            state.shortest_times[(r, s)] = np.array(
+                [trees[s][k][0].get(r, math.inf) for k in state.k_bins[(r, s)]]
             )
         state.iteration = n
         state.costs = new_costs

@@ -13,7 +13,6 @@ Recognized keys (defaults in parentheses):
     paths.enumerate (true)
     debug.node_trace (true)
     penalty                      repeatable: "<link id or from-to>@<start_s>:<added_cost_s>"
-    seed                         reserved; the engine is deterministic and ignores it
 
 Lines starting with # are comments.
 """
@@ -66,7 +65,6 @@ class ScenarioConfig:
     max_paths: int = 12
     detour: float = 1.0
     enumerate_paths: bool = True  # pre-enumerate per OD; turn off on big networks
-    seed: int | None = None
 
     def __post_init__(self):
         if self.gap_tol <= 0:
@@ -134,7 +132,6 @@ def parse_config(text: str) -> ScenarioConfig:
         max_paths=take("paths.max_paths", int, 12),
         detour=take("paths.detour", float, 1.0),
         enumerate_paths=take("paths.enumerate", boolean, True),
-        seed=take("seed", int, None),
     )
     if values:
         raise ConfigError(f"unknown config keys: {sorted(values)}")
@@ -190,7 +187,5 @@ def write_config(cfg: ScenarioConfig, path) -> None:
     ]
     for pen in cfg.penalties:
         lines.append(f"penalty = {pen.link_ref}@{pen.start_s:.10g}:{pen.added_cost_s:.10g}")
-    if cfg.seed is not None:
-        lines.append(f"seed = {cfg.seed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

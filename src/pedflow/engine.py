@@ -348,26 +348,13 @@ def _write_curves(result, path) -> None:
 
 
 def _write_link_state(cfg: ScenarioConfig, result, path) -> None:
-    network = result.network
     dt = result.grid.dt
-    order = result.link_order
-    L = np.array([network.links[l].length for l in order])
-    W = np.array([network.links[l].width for l in order])
-    VF = np.array([network.links[l].v_f for l in order])
-    opp = np.array(
-        [result.link_index[network.links[l].opposite] if network.links[l].opposite is not None else -1
-         for l in order],
-        dtype=int,
-    )
-    occ = (result.U - result.V)[:, :-1]
-    k = occ / (L * W)[:, None]
-    k_opp = np.where((opp >= 0)[:, None], k[opp], 0.0)
-    total = k + k_opp
-    rho = np.where(total > 0, k / np.where(total > 0, total, 1.0), 1.0)
-    vhat = effective_speed_profile(VF[:, None], rho, cfg.fd_variant, cfg.fd_gamma)
-    q = np.diff(result.V, axis=1) / dt / W[:, None]
+    arrays = result.network.arrays
+    k, rho = result.densities()
+    vhat = effective_speed_profile(arrays.v_f[:, None], rho, cfg.fd_variant, cfg.fd_gamma)
+    q = np.diff(result.V, axis=1) / dt / arrays.width[:, None]
     lines = ["link,t,k,q,rho,vhat"]
-    for i, lid in enumerate(order):
+    for i, lid in enumerate(result.link_order):
         for b in range(result.grid.n_bins):
             lines.append(
                 f"{lid},{_fmt(b * dt)},{_fmt(k[i, b])},{_fmt(q[i, b])},"

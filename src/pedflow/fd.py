@@ -142,6 +142,18 @@ def capacity_flow(params: FDParams) -> float:
     return params.v_f * k_c
 
 
+def density_ratio_profile(k: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """Vectorized density_ratio for every link.
+
+    Rows of k are the links' densities (any trailing time axes); twin[i] is
+    the row of link i's opposite direction, -1 for a one-way link, which sees
+    no counterflow.
+    """
+    paired = (twin >= 0).reshape((-1,) + (1,) * (k.ndim - 1))
+    total = k + np.where(paired, k[twin], 0.0)
+    return np.where(total > 0, k / np.where(total > 0, total, 1.0), 1.0)
+
+
 def effective_speed_profile(
     v_f: np.ndarray | float,
     rho: np.ndarray,

@@ -15,20 +15,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import fd, ltm
-from .ltm import CumulativeCurve
 from .nodemodel import ORIGIN, SINK, NodeFlowProblem, TurningFractions, solve_node
 
 
 class LoadingResult:
     """Curves and bookkeeping from one loading run."""
 
-    def __init__(self, network, grid, destinations, link_order):
+    def __init__(self, network, grid, destinations):
         self.network = network
         self.grid = grid
         self.destinations = tuple(destinations)
-        self.link_order = list(link_order)
-        self.link_index = {lid: i for i, lid in enumerate(self.link_order)}
-        n_links, n_bins, n_dest = len(link_order), grid.n_bins, len(destinations)
+        self.link_order = network.arrays.order
+        self.link_index = network.arrays.index
+        n_links, n_bins, n_dest = len(self.link_order), grid.n_bins, len(destinations)
         self.U = np.zeros((n_links, n_bins + 1))
         self.V = np.zeros((n_links, n_bins + 1))
         self.Ud = np.zeros((n_links, n_dest, n_bins + 1))
@@ -42,34 +41,30 @@ class LoadingResult:
         self.node_trace: list[tuple] = []
         self.fd_variant = "logistic"
         self.fd_gamma: float | None = None
+        self._densities = None
 
     # -- views ---------------------------------------------------------------
-
-    def curves_for(self, link_id: int) -> CumulativeCurve:
-        i = self.link_index[link_id]
-        return CumulativeCurve(
-            self.grid.n_bins, self.grid.dt, destinations=self.destinations,
-            U=self.U[i], V=self.V[i], Ud=self.Ud[i], Vd=self.Vd[i],
-        )
 
     def inflow_rates(self) -> np.ndarray:
         """Link inflow in ped/s per (link, bin)."""
         return np.diff(self.U, axis=1) / self.grid.dt
 
-    def outflow_rates(self) -> np.ndarray:
-        return np.diff(self.V, axis=1) / self.grid.dt
-
     def in_network(self) -> np.ndarray:
         """Pedestrians still on links at the end of the horizon, per destination."""
         return (self.Ud[:, :, -1] - self.Vd[:, :, -1]).sum(axis=0)
 
-    def density_series(self) -> np.ndarray:
-        """Occupancy density in ped/m^2 per (link, bin instant)."""
-        area = np.array(
-            [self.network.links[lid].length * self.network.links[lid].width
-             for lid in self.link_order]
-        )
-        return (self.U - self.V) / area[:, None]
+    def densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density (ped/m^2) and density ratio per (link, bin) of the finished run.
+
+        Computed on first use from the curves, which must not change after it.
+        Occupancies are clamped at zero: float noise can leave exits a few ulp
+        above entries.
+        """
+        if self._densities is None:
+            arrays = self.network.arrays
+            k = np.maximum(self.U - self.V, 0.0)[:, :-1] / arrays.area[:, None]
+            self._densities = (k, fd.density_ratio_profile(k, arrays.twin))
+        return self._densities
 
     def fd_travel_time(self, link_id: int, t_s: float) -> float | None:
         """Traversal time of a link entered at instant t_s, from the loaded state.
@@ -83,16 +78,8 @@ class LoadingResult:
         link = self.network.links[link_id]
         dt = self.grid.dt
         b = min(max(int(t_s / dt), 0), self.grid.n_bins - 1)
-        occ = self.U[i, b] - self.V[i, b]
-        k = occ / (link.length * link.width)
-        if link.opposite is not None:
-            j = self.link_index[link.opposite]
-            occ_opp = self.U[j, b] - self.V[j, b]
-            k_opp = occ_opp / (link.length * link.width)
-        else:
-            k_opp = 0.0
-        rho = fd.density_ratio(fd.FDState(k=k, k_opp=k_opp))
-        vhat = fd.effective_speed(self._fd_params(link), rho)
+        rho = self.densities()[1][i, b]
+        vhat = float(fd.effective_speed_profile(link.v_f, rho, self.fd_variant, self.fd_gamma))
         if vhat <= 0:
             return None
         free = link.length / vhat
@@ -101,12 +88,6 @@ class LoadingResult:
         if exit_t is None:
             return None
         return max(free, exit_t - t_s)
-
-    def _fd_params(self, link) -> fd.FDParams:
-        return fd.FDParams(
-            v_f=link.v_f, omega=link.omega, k_jam=link.k_jam,
-            variant=self.fd_variant, gamma=self.fd_gamma,
-        )
 
     # -- invariants ----------------------------------------------------------
 
@@ -119,7 +100,8 @@ class LoadingResult:
         occ = self.U - self.V
         if (occ < -tol).any():
             out.append("negative occupancy (exits overtook entries)")
-        storage = np.array([self.network.links[lid].storage for lid in self.link_order])
+        arrays = self.network.arrays
+        storage = arrays.k_jam * arrays.area
         if (occ > storage[:, None] + tol).any():
             worst = int(np.argmax((occ - storage[:, None]).max(axis=1)))
             out.append(f"occupancy exceeds storage on link {self.link_order[worst]}")
@@ -149,35 +131,20 @@ def load_network(
     node_trace: bool = False,
 ) -> LoadingResult:
     """Propagate the demand through the network under the given turning fractions."""
-    link_order = network.sorted_link_ids()
     destinations = demand.destinations()
     n_dest = len(destinations)
     d_index = {d: i for i, d in enumerate(destinations)}
-    result = LoadingResult(network, grid, destinations, link_order)
+    result = LoadingResult(network, grid, destinations)
     result.fd_variant = fd_variant
     result.fd_gamma = fd_gamma
 
-    n_links = len(link_order)
     n_bins = grid.n_bins
     dt = grid.dt
     idx = result.link_index
-    L = np.array([network.links[l].length for l in link_order])
-    W = np.array([network.links[l].width for l in link_order])
-    VF = np.array([network.links[l].v_f for l in link_order])
-    KJ = np.array([network.links[l].k_jam for l in link_order])
-    OM = np.array([network.links[l].omega for l in link_order])
-    CAP = np.array([network.links[l].capacity for l in link_order])
-    OPP = np.array(
-        [idx[network.links[l].opposite] if network.links[l].opposite is not None else -1
-         for l in link_order],
-        dtype=int,
-    )
-    area = L * W
-    storage_phys = KJ * area
-    to_node = np.array([network.links[l].to_node for l in link_order], dtype=int)
-    paired = np.where(OPP >= 0)[0]
-    twin_shift = np.zeros(n_links)
-    twin_shift[paired] = L[paired] / VF[OPP[paired]]
+    arrays = network.arrays
+    n_links = len(arrays.order)
+    L, VF, OM, CAP, twin = arrays.length, arrays.v_f, arrays.omega, arrays.capacity, arrays.twin
+    storage_phys = arrays.k_jam * arrays.area
 
     # demand release schedule: bin -> [(origin node, destination column, persons)]
     schedule: dict[int, list[tuple[int, int, float]]] = {}
@@ -196,24 +163,16 @@ def load_network(
         for origin, d, amount in schedule.get(t, ()):
             queues.setdefault(origin, np.zeros(n_dest))[d] += amount
 
-        occ = U[:, t] - V[:, t]
-        k = occ / area
-        k_opp = np.where(OPP >= 0, k[OPP], 0.0)
-        total_k = k + k_opp
+        rho = fd.density_ratio_profile((U[:, t] - V[:, t]) / arrays.area, twin)
         with np.errstate(invalid="ignore", divide="ignore"):
-            rho = np.where(total_k > 0, k / np.where(total_k > 0, total_k, 1.0), 1.0)
             vhat = fd.effective_speed_profile(VF, rho, fd_variant, fd_gamma)
             S_all = ltm.sending_flows_at(U, V, t, dt, L, np.maximum(vhat, 1e-15), CAP)
         S_all[vhat <= 0] = 0.0
         storage = rho * storage_phys if effective_storage else storage_phys
         R_all = ltm.receiving_flows_at(V, U, t, dt, L, OM, storage, CAP)
-        counterflow = np.zeros(n_links)
-        if paired.size:
-            hi = ltm.interp_at(U, (t + 1) * dt - twin_shift[paired], dt, rows=OPP[paired])
-            lo = ltm.interp_at(U, t * dt - twin_shift[paired], dt, rows=OPP[paired])
-            counterflow[paired] = np.maximum(hi - lo, 0.0)
+        counterflow = ltm.counterflow_at(U, t, dt, twin, L, VF)
 
-        active = set(int(n) for n in to_node[S_all > eps])
+        active = set(int(n) for n in arrays.to_node[S_all > eps])
         for origin, q in queues.items():
             if q.sum() > eps:
                 active.add(origin)

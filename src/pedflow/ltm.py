@@ -1,54 +1,19 @@
-"""Link state as cumulative boundary counts, with sending and receiving flows.
+"""Array kernels on cumulative boundary counts: link bounds, reservations, FIFO.
 
 Each link tracks the cumulative number of pedestrians that crossed its
 upstream boundary (U) and its downstream boundary (V) at every grid instant,
-optionally decomposed by destination.  Sending and receiving flows are the
-classic kinematic-wave bounds evaluated against these curves: the sending
-bound looks back a free-flow traversal (at the counterflow-degraded speed),
-the receiving bound looks back a wave traversal and adds the storage.
+optionally decomposed by destination; the kernels take all links' curves as
+rows of one array.  Sending and receiving flows are the classic
+kinematic-wave bounds evaluated against these curves: the sending bound
+looks back a free-flow traversal (at the counterflow-degraded speed), the
+receiving bound looks back a wave traversal and adds the storage.  The
+counterflow reservation counts what is under way on each link's twin.
 Off-grid lookback instants are linearly interpolated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class ConservationError(RuntimeError):
-    """A curve update would break conservation (negative occupancy, overfill)."""
-
-
-class CumulativeCurve:
-    """Cumulative upstream/downstream counts of one link on the time grid.
-
-    Arrays may be views into engine-wide storage; bin b corresponds to instant
-    b * dt.  When `destinations` is non-empty, per-destination curves Ud/Vd of
-    shape (n_destinations, n_bins + 1) are kept alongside the totals.
-    """
-
-    def __init__(self, n_bins, dt, destinations=(), U=None, V=None, Ud=None, Vd=None):
-        self.dt = float(dt)
-        self.n_bins = int(n_bins)
-        self.destinations = tuple(destinations)
-        shape = self.n_bins + 1
-        self.U = np.zeros(shape) if U is None else U
-        self.V = np.zeros(shape) if V is None else V
-        if self.destinations:
-            dshape = (len(self.destinations), shape)
-            self.Ud = np.zeros(dshape) if Ud is None else Ud
-            self.Vd = np.zeros(dshape) if Vd is None else Vd
-        else:
-            self.Ud = None
-            self.Vd = None
-
-    def occupancy(self, t: int) -> float:
-        return float(self.U[t] - self.V[t])
-
-    def interp_U(self, tau: float) -> float:
-        return float(interp_at(self.U[None, :], np.array([tau]), self.dt)[0])
-
-    def interp_V(self, tau: float) -> float:
-        return float(interp_at(self.V[None, :], np.array([tau]), self.dt)[0])
 
 
 def interp_at(arr: np.ndarray, tau: np.ndarray, dt: float, rows: np.ndarray | None = None) -> np.ndarray:
@@ -81,75 +46,23 @@ def receiving_flows_at(V, U, t, dt, lengths, omegas, storage, caps):
     return np.clip(np.minimum(boundary, caps * dt), 0.0, None)
 
 
-def sending_flow(link, curves: CumulativeCurve, t: int, vhat: float) -> float:
-    """Most the link can deliver downstream during [t, t+1) at effective speed vhat."""
-    if vhat <= 0:
-        return 0.0
-    return float(
-        sending_flows_at(
-            curves.U[None, :], curves.V[None, :], t, curves.dt,
-            np.array([link.length]), np.array([vhat]), np.array([link.capacity]),
-        )[0]
-    )
+def counterflow_at(U, t, dt, twin, lengths, v_f):
+    """Counterflow reservations of all links for the step starting at bin t (persons).
 
-
-def receiving_flow(link, curves: CumulativeCurve, t: int, effective_jam: float | None = None) -> float:
-    """Most the link can absorb from upstream during [t, t+1).
-
-    The storage term uses the link's physical jam density unless an effective
-    jam density (already degraded by the density ratio) is passed in.
+    Link i reserves the pedestrians who entered its twin (row twin[i]) within
+    the one-step window that, at the twin's free-flow pace over the shared
+    length, puts them at link i's entry node during the step.  One-way links
+    (twin -1) reserve nothing.
     """
-    k_jam = link.k_jam if effective_jam is None else effective_jam
-    storage = k_jam * link.length * link.width
-    return float(
-        receiving_flows_at(
-            curves.V[None, :], curves.U[None, :], t, curves.dt,
-            np.array([link.length]), np.array([link.omega]),
-            np.array([storage]), np.array([link.capacity]),
-        )[0]
-    )
-
-
-def advance(link, curves: CumulativeCurve, inflow, outflow, t: int) -> CumulativeCurve:
-    """Apply one step's boundary transfers to the curves at bin t.
-
-    inflow and outflow are persons during [t, t+1), either scalars (no
-    decomposition) or arrays aligned with curves.destinations.  Raises
-    ConservationError when the transfer would violate the bounds that the
-    sending/receiving flows impose.
-    """
-    inflow = np.atleast_1d(np.asarray(inflow, dtype=float))
-    outflow = np.atleast_1d(np.asarray(outflow, dtype=float))
-    tol = 1e-9 * max(1.0, float(curves.U[t]))
-    if (inflow < -tol).any() or (outflow < -tol).any():
-        raise ConservationError(f"link {link.id}: negative transfer at bin {t}")
-    total_in = float(inflow.sum())
-    total_out = float(outflow.sum())
-    occupancy = curves.occupancy(t)
-    if total_out > occupancy + tol:
-        raise ConservationError(
-            f"link {link.id}: outflow {total_out} exceeds occupancy {occupancy} at bin {t}"
-        )
-    if total_out > link.capacity * curves.dt + tol:
-        raise ConservationError(f"link {link.id}: outflow {total_out} exceeds capacity at bin {t}")
-    if total_in > receiving_flow(link, curves, t) + tol:
-        raise ConservationError(
-            f"link {link.id}: inflow {total_in} exceeds receiving flow at bin {t}"
-        )
-    curves.U[t + 1] = curves.U[t] + total_in
-    curves.V[t + 1] = curves.V[t] + total_out
-    if curves.Ud is not None:
-        if inflow.shape != (len(curves.destinations),) or outflow.shape != (len(curves.destinations),):
-            raise ConservationError(
-                f"link {link.id}: transfers must be decomposed over {len(curves.destinations)} destinations"
-            )
-        curves.Ud[:, t + 1] = curves.Ud[:, t] + inflow
-        curves.Vd[:, t + 1] = curves.Vd[:, t] + outflow
-        if (curves.Vd[:, t + 1] > curves.Ud[:, t + 1] + tol).any():
-            raise ConservationError(
-                f"link {link.id}: a destination's exits would overtake its entries at bin {t}"
-            )
-    return curves
+    out = np.zeros(len(twin))
+    paired = np.flatnonzero(twin >= 0)
+    if paired.size:
+        rows = twin[paired]
+        shift = lengths[paired] / v_f[rows]
+        hi = interp_at(U, (t + 1) * dt - shift, dt, rows=rows)
+        lo = interp_at(U, t * dt - shift, dt, rows=rows)
+        out[paired] = np.maximum(hi - lo, 0.0)
+    return out
 
 
 def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0: float, r1: float, t: int) -> np.ndarray:
@@ -191,6 +104,7 @@ def crossing_time(arr: np.ndarray, rank: float, dt: float, n_valid: int) -> floa
     head = arr[: n_valid + 1]
     if head[-1] < rank - 1e-12:
         return None
+    rank = min(rank, head[-1])  # a rank within the slack above the last sample crosses there
     idx = int(np.searchsorted(head, rank, side="left"))
     if idx == 0:
         return 0.0

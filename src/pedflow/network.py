@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,12 +140,6 @@ class DemandProfile:
     def destinations(self) -> list[int]:
         return sorted({e.destination for e in self.entries})
 
-    def departure_bins(self, grid: TimeGrid) -> list[int]:
-        return sorted({grid.bin_of(e.depart_s) for e in self.entries})
-
-    def total_trips(self, grid: TimeGrid) -> float:
-        return sum(e.rate for e in self.entries) * grid.dt
-
 
 @dataclass(frozen=True)
 class Path:
@@ -161,19 +156,6 @@ class Path:
 
     def free_flow_time(self, network: "Network") -> float:
         return sum(network.links[lid].free_flow_time for lid in self.link_ids)
-
-    def entry_times(self, costs_at_k, k: float) -> list[tuple[int, float]]:
-        """(link id, entry instant) along the path for a departure at k.
-
-        Entry instants accumulate the link costs frozen at the departure bin,
-        which keeps the incidence consistent with the pre-trip route time.
-        """
-        t = float(k)
-        out = []
-        for lid in self.link_ids:
-            out.append((lid, t))
-            t += costs_at_k[lid]
-        return out
 
 
 class Network:
@@ -204,6 +186,11 @@ class Network:
     def sorted_link_ids(self) -> list[int]:
         return sorted(self.links)
 
+    @cached_property
+    def arrays(self) -> "LinkArrays":
+        """Per-link attribute arrays, built on first use and kept."""
+        return LinkArrays(self)
+
     def link_between(self, from_node: int, to_node: int) -> Link | None:
         for lid in self.out_links.get(from_node, []):
             if self.links[lid].to_node == to_node:
@@ -223,6 +210,29 @@ class Network:
         return Path(od=(node_seq[0], node_seq[-1]), link_ids=tuple(link_ids))
 
 
+class LinkArrays:
+    """Link attributes as arrays, one row per link in sorted link id order.
+
+    `twin[i]` is the row of link i's opposite direction, -1 for a one-way link.
+    """
+
+    def __init__(self, network: Network):
+        self.order = network.sorted_link_ids()
+        self.index = {lid: i for i, lid in enumerate(self.order)}
+        links = [network.links[lid] for lid in self.order]
+        self.length = np.array([l.length for l in links])
+        self.width = np.array([l.width for l in links])
+        self.v_f = np.array([l.v_f for l in links])
+        self.k_jam = np.array([l.k_jam for l in links])
+        self.omega = np.array([l.omega for l in links])
+        self.capacity = np.array([l.capacity for l in links])
+        self.to_node = np.array([l.to_node for l in links], dtype=int)
+        self.twin = np.array(
+            [-1 if l.opposite is None else self.index[l.opposite] for l in links], dtype=int
+        )
+        self.area = self.length * self.width
+
+
 def validate_network(network: Network) -> list[str]:
     """Every invariant violation found, as human-readable strings.
 
@@ -237,8 +247,10 @@ def validate_network(network: Network) -> list[str]:
         if l.from_node == l.to_node:
             violations.append(f"link {l.id}: self-loop at node {l.from_node}")
         for attr in ("length", "width", "v_f", "k_jam", "omega", "capacity"):
-            if getattr(l, attr) <= 0:
-                violations.append(f"link {l.id}: nonpositive {attr} ({getattr(l, attr)})")
+            value = getattr(l, attr)
+            if not 0.0 < value < math.inf:
+                kind = "nonpositive" if value <= 0 else "non-finite"
+                violations.append(f"link {l.id}: {kind} {attr} ({value})")
         if l.opposite is not None:
             opp = network.links.get(l.opposite)
             if opp is None:
@@ -278,8 +290,9 @@ def validate_time_grid(network: Network, grid: TimeGrid) -> list[str]:
 def validate_demand(network: Network, demand: DemandProfile, grid: TimeGrid | None = None) -> list[str]:
     violations = []
     for i, e in enumerate(demand.entries):
-        if e.rate < 0:
-            violations.append(f"demand entry {i}: negative rate {e.rate}")
+        if not 0.0 <= e.rate < math.inf:
+            kind = "negative" if e.rate < 0 else "non-finite"
+            violations.append(f"demand entry {i}: {kind} rate {e.rate}")
         for role, nid in (("origin", e.origin), ("destination", e.destination)):
             node = network.nodes.get(nid)
             if node is None:
@@ -299,12 +312,13 @@ def validate_demand(network: Network, demand: DemandProfile, grid: TimeGrid | No
     return violations
 
 
-def free_flow_times_to(network: Network, destination: int) -> dict[int, float]:
-    """Free-flow travel time from every node to the destination (Dijkstra on reversed arcs)."""
-    return _dijkstra_to(network, destination, {lid: l.free_flow_time for lid, l in network.links.items()})
+def times_to(network: Network, destination: int, costs) -> dict[int, float]:
+    """Minimal route time from every node to the destination under per-link costs.
 
-
-def _dijkstra_to(network: Network, destination: int, costs: dict[int, float]) -> dict[int, float]:
+    Dijkstra on the reversed arcs; `costs` maps link id to a nonnegative cost
+    (ValueError otherwise).  Nodes that cannot reach the destination are
+    missing from the result.
+    """
     dist = {destination: 0.0}
     heap = [(0.0, destination)]
     while heap:
@@ -313,7 +327,10 @@ def _dijkstra_to(network: Network, destination: int, costs: dict[int, float]) ->
             continue
         for lid in network.in_links[node]:
             link = network.links[lid]
-            nd = d + costs[lid]
+            c = costs[lid]
+            if c < 0:
+                raise ValueError(f"negative cost on link {lid}")
+            nd = d + c
             if nd < dist.get(link.from_node, math.inf) - 1e-15:
                 dist[link.from_node] = nd
                 heapq.heappush(heap, (nd, link.from_node))
@@ -340,7 +357,7 @@ def enumerate_paths(
         raise ValueError(f"OD pair ({r}, {s}) references unknown nodes")
     if max_paths <= 0:
         return []
-    dist_to = free_flow_times_to(network, s)
+    dist_to = times_to(network, s, {lid: l.free_flow_time for lid, l in network.links.items()})
     if r not in dist_to:
         return []
     best = dist_to[r]

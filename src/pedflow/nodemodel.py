@@ -1,4 +1,4 @@
-"""First-order node model with counterflow look-ahead and turning fractions.
+"""First-order node model with counterflow reservation and turning fractions.
 
 A node problem carries oriented demands (what each incoming link would send
 to each outgoing link), receiving flows, and a reservation per outgoing link
@@ -10,8 +10,8 @@ first-in-first-out).
 
 The reservation term is the gridlock valve: pedestrians wanting to enter a
 segment yield part of its supply to the counterflow that will reach the node
-within one free-flow traversal, which makes opposing streams take turns
-instead of wedging solid.
+within one free-flow traversal (`ltm.counterflow_at` counts it), which
+makes opposing streams take turns instead of wedging solid.
 """
 
 from __future__ import annotations
@@ -192,25 +192,6 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
         theta[i] = min(max(x[pos] / row_tot[i], 0.0), 1.0)
     q = theta[:, None] * S
     return q, theta
-
-
-def look_ahead_term(network, out_link_id: int, curves, t: int) -> float:
-    """Counterflow reservation for an outgoing link at step t.
-
-    Counts the pedestrians who entered the opposing twin within the window
-    that, at free-flow pace, puts them at this node during the step.  Links
-    without a twin (one-way sidewalks) reserve nothing.
-    """
-    link = network.links[out_link_id]
-    if link.opposite is None:
-        return 0.0
-    twin = network.links[link.opposite]
-    curve = curves[twin.id]
-    shift = link.length / twin.v_f
-    dt = curve.dt
-    hi = curve.interp_U((t + 1) * dt - shift)
-    lo = curve.interp_U(t * dt - shift)
-    return max(hi - lo, 0.0)
 
 
 class TurningFractions:

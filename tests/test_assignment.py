@@ -65,18 +65,20 @@ class TestCostField:
         net = make_grid_network(3)
         grid = TimeGrid(1.0, 30.0)
         lid = net.link_between(4, 7).id
-        field = free_flow_costs(net, grid, penalties=[(lid, 20.0, 1e4)])
+        costs = free_flow_costs(net, grid, penalties=[(lid, 20.0, 1e4)])
+        row = net.sorted_link_ids().index(lid)
         tau = net.links[lid].free_flow_time
-        assert field.at(lid, 19) == pytest.approx(tau)
-        assert field.at(lid, 20) == pytest.approx(tau + 1e4)
-        assert field.at(lid, 29) == pytest.approx(tau + 1e4)
+        assert costs[row, 19] == pytest.approx(tau)
+        assert costs[row, 20] == pytest.approx(tau + 1e4)
+        assert costs[row, 29] == pytest.approx(tau + 1e4)
 
     def test_columns_index_by_link_id(self):
         net = make_grid_network(3)
         grid = TimeGrid(1.0, 10.0)
-        field = free_flow_costs(net, grid)
-        col = field.column(3)
-        assert col[5] == pytest.approx(net.links[5].free_flow_time)
+        costs = free_flow_costs(net, grid)
+        assert costs.shape == (len(net.links), grid.n_bins)
+        row = net.sorted_link_ids().index(5)
+        assert costs[row, 3] == pytest.approx(net.links[5].free_flow_time)
 
 
 class TestUpdateFlowsAndGap:
@@ -278,9 +280,10 @@ class TestCostsFromLoading:
         net, demand, cfg = generate_corridor_scenario(preset=6)
         state, report = run_due(net, demand, cfg)
         result = state.loading
-        field = costs_from_loading(net, TimeGrid(cfg.dt, cfg.horizon), result, cfg.pvdf)
+        costs = costs_from_loading(net, TimeGrid(cfg.dt, cfg.horizon), result, cfg.pvdf)
         lid = net.link_between(5, 6).id
+        row = net.sorted_link_ids().index(lid)
         at_rest = link_cost(net.links[lid], cfg.pvdf, 0.0, 0.0)
-        assert field.at(lid, 0) == pytest.approx(at_rest)  # empty network at t=0
+        assert costs[row, 0] == pytest.approx(at_rest)  # empty network at t=0
         mid = int(30 / cfg.dt)
-        assert field.at(lid, mid) > at_rest  # two-way flow raises the cost
+        assert costs[row, mid] > at_rest  # two-way flow raises the cost

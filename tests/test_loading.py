@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pedflow.fd import FDParams, FDState, density_ratio, effective_speed, effective_speed_profile
 from pedflow.loading import load_network as load_flows
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
 from pedflow.nodemodel import paths_to_turning_fractions
@@ -137,6 +138,45 @@ class TestLoadedTravelTimes:
         result = load_flows(net, grid, demand, fractions)
         # the first link queues behind the narrow middle link
         assert result.fd_travel_time(1, 8.0) > 2.0 + 1e-6
+
+    def test_float_noise_occupancy_reads_as_empty(self):
+        # exits one ulp above entries (occupancy -2.2e-16) is an empty link
+        net = one_way_chain()
+        grid = TimeGrid(1.0, 10.0)
+        result = load_flows(net, grid, DemandProfile(), paths_to_turning_fractions([], net, grid))
+        result.U[0] = 1.0
+        result.V[0] = np.nextafter(1.0, 2.0)
+        assert result.fd_travel_time(1, 0.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("variant, gamma", [("logistic", None), ("power", 1.7)])
+    def test_rho_and_vhat_match_scalar_fd(self, variant, gamma):
+        # the rho and vhat fd_travel_time reads, against fd's scalar functions,
+        # on random occupancies with empty links, empty pairs and float noise
+        net, _, _ = generate_corridor_scenario(preset=6)
+        grid = TimeGrid(1.0, 20.0)
+        result = load_flows(net, grid, DemandProfile(), paths_to_turning_fractions([], net, grid),
+                            fd_variant=variant, fd_gamma=gamma)
+        rng = np.random.default_rng(7)
+        occ = rng.uniform(0.0, 3.0, result.U.shape)
+        occ[rng.random(occ.shape) < 0.3] = 0.0
+        result.U[:] = 1.0
+        result.V[:] = 1.0 - occ
+        result.V[rng.random(occ.shape) < 0.1] = np.nextafter(1.0, 2.0)
+        k, rho = result.densities()
+        twin = net.arrays.twin
+        for i, lid in enumerate(result.link_order):
+            link = net.links[lid]
+            params = FDParams(v_f=link.v_f, omega=link.omega, k_jam=link.k_jam,
+                              variant=variant, gamma=gamma)
+            area = link.length * link.width
+            for b in range(grid.n_bins):
+                k_ref = max(result.U[i, b] - result.V[i, b], 0.0) / area
+                k_opp = 0.0 if twin[i] < 0 else max(result.U[twin[i], b] - result.V[twin[i], b], 0.0) / area
+                rho_ref = density_ratio(FDState(k=k_ref, k_opp=k_opp))
+                assert k[i, b] == k_ref
+                assert rho[i, b] == pytest.approx(rho_ref, rel=1e-12, abs=0.0)
+                vhat = effective_speed_profile(link.v_f, rho[i, b], variant, gamma)
+                assert vhat == pytest.approx(effective_speed(params, rho_ref), rel=1e-12, abs=0.0)
 
 
 class TestBidirectionalCorridor:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pedflow.network import (
@@ -57,6 +59,13 @@ class TestValidateNetwork:
         assert any("dangling opposite" in v for v in violations)
         assert any("nonpositive width" in v for v in violations)
 
+    def test_nan_and_inf_attributes_are_flagged(self):
+        nodes = [Node(1), Node(2)]
+        links = [Link(1, 1, 2, math.nan, 4.0, math.inf, 5.4, 0.5, 8.1)]
+        violations = validate_network(Network(nodes, links))
+        assert any("non-finite length" in v for v in violations)
+        assert any("non-finite v_f" in v for v in violations)
+
     def test_pairing_is_an_involution_on_generated_networks(self):
         for net in (make_grid_network(3), make_corridor_network(9)):
             for link in net.links.values():
@@ -103,6 +112,14 @@ class TestValidateDemand:
         violations = validate_demand(net, demand)
         assert any("origin equals destination" in v for v in violations)
         assert any("negative rate" in v for v in violations)
+
+    def test_nan_and_inf_rates_are_flagged(self):
+        net = make_grid_network(3, origins={1}, destinations={9})
+        demand = DemandProfile()
+        demand.add(1, 9, 0.0, math.nan)
+        demand.add(1, 9, 1.0, math.inf)
+        violations = validate_demand(net, demand)
+        assert sum("non-finite rate" in v for v in violations) == 2
 
     def test_off_grid_departure(self):
         net = make_grid_network(3, origins={1}, destinations={9})

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from pedflow.ltm import CumulativeCurve
+from pedflow.ltm import counterflow_at
 from pedflow.network import TimeGrid
 from pedflow.nodemodel import (
     ORIGIN,
     SINK,
     NodeFlowProblem,
     TurningFractions,
-    look_ahead_term,
     paths_to_turning_fractions,
     solve_node,
 )
@@ -150,30 +149,37 @@ class TestOptimalityAndProportionality:
         assert base.flows[:, 0] == pytest.approx(scaled.flows[:, 0], abs=1e-12)
 
 
+def reservation(net, link_id, U, t):
+    """counterflow_at for one link, with dt = 1 s."""
+    arrays = net.arrays
+    return counterflow_at(U, t, 1.0, arrays.twin, arrays.length, arrays.v_f)[arrays.index[link_id]]
+
+
 class TestLookAhead:
     def make_pair_net(self):
         return make_corridor_network(2)
+
+    def curves(self, net):
+        return np.zeros((len(net.links), 11))
 
     def test_one_way_link_reserves_nothing(self):
         net = make_grid_network(3)
         link = next(iter(net.links.values()))
         object.__setattr__(link, "opposite", None)
-        curves = {lid: CumulativeCurve(10, 1.0) for lid in net.links}
-        assert look_ahead_term(net, link.id, curves, 3) == 0.0
+        assert reservation(net, link.id, self.curves(net), 3) == 0.0
 
     def test_idle_twin_reserves_nothing(self):
         net = self.make_pair_net()
-        curves = {lid: CumulativeCurve(10, 1.0) for lid in net.links}
-        assert look_ahead_term(net, 1, curves, 3) == 0.0
+        assert reservation(net, 1, self.curves(net), 3) == 0.0
 
     def test_steady_counterflow_hand_trace(self):
         # twin carries 2 ped/s; the reservation window is shifted by the
         # twin's free-flow traversal (2 m / 1.5 m/s) and spans one step
         net = self.make_pair_net()
-        curves = {lid: CumulativeCurve(10, 1.0) for lid in net.links}
+        U = self.curves(net)
         twin = net.links[1].opposite
-        curves[twin].U[:] = 2.0 * np.arange(11)
-        got = look_ahead_term(net, 1, curves, 3)
+        U[net.arrays.index[twin]] = 2.0 * np.arange(11)
+        got = reservation(net, 1, U, 3)
         shift = 2.0 / 1.5
         expected = 2.0 * (4 - shift) - 2.0 * (3 - shift)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -181,15 +187,15 @@ class TestLookAhead:
 
     def test_window_before_start_reads_zero(self):
         net = self.make_pair_net()
-        curves = {lid: CumulativeCurve(10, 1.0) for lid in net.links}
+        U = self.curves(net)
         twin = net.links[1].opposite
-        curves[twin].U[:] = 2.0 * np.arange(11)
+        U[net.arrays.index[twin]] = 2.0 * np.arange(11)
         # at t=0 the shifted window lies entirely before the start
-        assert look_ahead_term(net, 1, curves, 0) == 0.0
+        assert reservation(net, 1, U, 0) == 0.0
         # at t=1 it straddles the start: only the in-horizon part counts
         shift = 2.0 / 1.5
         expected = 2.0 * (2 - shift) - 0.0
-        assert look_ahead_term(net, 1, curves, 1) == pytest.approx(expected, abs=1e-12)
+        assert reservation(net, 1, U, 1) == pytest.approx(expected, abs=1e-12)
 
 
 class TestTurningFractions:
