@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pvdf
 from .loading import load_network
-from .network import Network, Path, TimeGrid, enumerate_paths, times_to
+from .network import Network, Path, TimeGrid, enumerate_paths, shortest_paths
 from .nodemodel import paths_to_turning_fractions
 
 
@@ -48,44 +48,16 @@ def _apply_penalties(costs: np.ndarray, network: Network, grid: TimeGrid, penalt
         costs[network.arrays.index[lid], start_bin:] += cost_s
 
 
-def shortest_paths(network: Network, costs_at_k, destination: int):
-    """Minimal instantaneous route times toward one destination at one instant.
-
-    costs_at_k maps link id to its cost at that instant.  Returns (times,
-    successors): times maps node -> minimal route time to the destination
-    (missing means unreachable, i.e. infinite); successors maps node -> the
-    outgoing link of the cheapest route, smallest next node id first on ties
-    so the implied paths are lexicographically smallest.
-    """
-    dist = times_to(network, destination, costs_at_k)
-    succ: dict[int, int] = {}
-    for node, d in dist.items():
-        if node == destination:
-            continue
-        best = None
-        for lid in network.out_links[node]:
-            link = network.links[lid]
-            tail = dist.get(link.to_node)
-            if tail is None:
-                continue
-            cand = costs_at_k[lid] + tail
-            if cand <= d + 1e-9 * max(1.0, d):
-                key = (link.to_node, lid)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            succ[node] = best[1]
-    return dist, succ
-
-
-def path_from_successors(network: Network, succ: dict[int, int], origin: int, destination: int) -> Path | None:
+def path_from_successors(network: Network, succ: np.ndarray, origin: int, destination: int) -> Path | None:
+    """Follow one tree's successor row (`Trees.succ[c]`) from origin; None if it never arrives."""
+    index = network.arrays.node_index
     node = origin
     links: list[int] = []
     for _ in range(len(network.nodes) + 1):
         if node == destination:
             return Path(od=(origin, destination), link_ids=tuple(links))
-        lid = succ.get(node)
-        if lid is None:
+        lid = int(succ[index[node]])
+        if lid < 0:
             return None
         links.append(lid)
         node = network.links[lid].to_node
@@ -121,6 +93,8 @@ class AssignmentState:
         self.k_pos = {od: {k: i for i, k in enumerate(self.k_bins[od])} for od in self.ods}
         self.rates = {od: np.array([rates[od][k] for k in self.k_bins[od]]) for od in self.ods}
         self.paths: dict[tuple[int, int], list[Path]] = {od: [] for od in self.ods}
+        # link_rows[od][row]: the cost-array rows of that path's links, in route order
+        self.link_rows: dict[tuple[int, int], list[np.ndarray]] = {od: [] for od in self.ods}
         self._path_rows: dict[tuple[int, int], dict[tuple, int]] = {od: {} for od in self.ods}
         self.flows: dict[tuple[int, int], np.ndarray] = {
             od: np.zeros((0, len(self.k_bins[od]))) for od in self.ods
@@ -139,6 +113,8 @@ class AssignmentState:
             row = len(self.paths[od])
             rows[path.link_ids] = row
             self.paths[od].append(path)
+            index = self.network.arrays.index
+            self.link_rows[od].append(np.array([index[lid] for lid in path.link_ids], dtype=int))
             self.flows[od] = np.vstack([self.flows[od], np.zeros((1, self.flows[od].shape[1]))])
         return row
 
@@ -209,28 +185,26 @@ def run_due(network: Network, demand, cfg, loader=None):
             for path in enumerate_paths(network, od, cfg.max_paths, cfg.detour):
                 state.ensure_path(od, path)
     costs = free_flow_costs(network, grid, penalties)
-    destinations = sorted({od[1] for od in state.ods})
     departures: dict[int, list[tuple[tuple[int, int], int]]] = {}
     for od in state.ods:
         for pos, k in enumerate(state.k_bins[od]):
             departures.setdefault(k, []).append((od, pos))
-    order, index, last = network.arrays.order, network.arrays.index, grid.n_bins - 1
+    index, last = network.arrays.index, grid.n_bins - 1
+    # One tree column per departure bin and destination departing in it.
+    columns = [(k, dest) for k in sorted(departures) for dest in sorted({od[1] for od, _ in departures[k]})]
+    column_of = {kd: c for c, kd in enumerate(columns)}
+    bins = [min(k, last) for k, _ in columns]
+    tree_destinations = [dest for _, dest in columns]
 
     def build_trees(costs, path_times=None):
-        """Trees per destination and departure bin; fills path_times when given.
-
-        Each bin's {link id: cost} mapping is built once, serves the trees and
-        the route times of that bin, and is dropped before the next one.
-        """
-        trees = {dest: {} for dest in destinations}
-        for k in sorted(departures):
-            column = dict(zip(order, costs[:, min(k, last)].tolist()))
-            for dest in sorted({od[1] for od, _ in departures[k]}):
-                trees[dest][k] = shortest_paths(network, column, dest)
-            if path_times is not None:
-                for od, pos in departures[k]:
-                    for row, path in enumerate(state.paths[od]):
-                        path_times[od][row, pos] = pvdf.instantaneous_route_time(path, column)
+        """Every tree column in one call; fills path_times when given."""
+        trees = shortest_paths(network, costs, bins, tree_destinations)
+        if path_times is not None:
+            for k, entries in departures.items():
+                k = min(k, last)
+                for od, pos in entries:
+                    for row, rows in enumerate(state.link_rows[od]):
+                        path_times[od][row, pos] = sum(costs[rows, k].tolist())
         return trees
 
     trees = build_trees(costs)
@@ -243,18 +217,16 @@ def run_due(network: Network, demand, cfg, loader=None):
             r, s = od
             chosen = []
             for k in state.k_bins[od]:
-                dist, succ = trees[s][k]
-                path = path_from_successors(network, succ, r, s)
+                path = path_from_successors(network, trees.succ[column_of[k, s]], r, s)
                 if path is None:
                     raise RuntimeError(f"destination {s} unreachable from {r} at bin {k}")
                 chosen.append(path)
             aon[od] = chosen
         update_flows(state, aon, n)
 
-        successors = {dest: {k: tree[1] for k, tree in trees[dest].items()} for dest in destinations}
         fractions = paths_to_turning_fractions(
             state.path_flow_items(), network, grid,
-            cost_fn=lambda lid, k: float(costs[index[lid], min(k, last)]), successors=successors,
+            cost_fn=lambda lid, k: float(costs[index[lid], min(k, last)]), trees=trees,
         )
         result = loader(network, grid, demand, fractions, state)
         new_costs = costs_from_loading(network, grid, result, cfg.pvdf, penalties)
@@ -266,9 +238,8 @@ def run_due(network: Network, demand, cfg, loader=None):
         }
         trees = build_trees(new_costs, state.path_times)
         for r, s in state.ods:
-            state.shortest_times[(r, s)] = np.array(
-                [trees[s][k][0].get(r, math.inf) for k in state.k_bins[(r, s)]]
-            )
+            cols = [column_of[k, s] for k in state.k_bins[(r, s)]]
+            state.shortest_times[(r, s)] = trees.dist[cols, network.arrays.node_index[r]]
         state.iteration = n
         state.costs = new_costs
         state.loading = result

@@ -26,6 +26,10 @@ import numpy as np
 ORIGIN = -1  # incoming side: demand queued at an origin centroid
 SINK = -2  # outgoing side: trips ending at a destination centroid
 
+# Pivots the node simplex may take, per tableau row and column.  Bland's rule
+# cannot cycle, so running out means the pivot tolerances broke the method.
+PIVOTS_PER_DIMENSION = 200
+
 
 @dataclass
 class NodeFlowProblem:
@@ -162,7 +166,7 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     T[:m, n : n + m] = np.eye(m)
     T[m, :n] = -1.0
     basis = list(range(n, n + m))
-    for _ in range(200 * (m + n)):
+    for _ in range(PIVOTS_PER_DIMENSION * (m + n)):
         enter = -1
         for col in range(n + m):
             if T[m, col] < -1e-12:
@@ -184,6 +188,10 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
             if row != leave and T[row, enter] != 0.0:
                 T[row] -= T[row, enter] * T[leave]
         basis[leave] = enter
+    else:
+        raise RuntimeError(
+            f"node transfer simplex hit its pivot cap ({PIVOTS_PER_DIMENSION * (m + n)}) before the optimum"
+        )
     x = np.zeros(n)
     for row, bv in enumerate(basis):
         if bv < n:
@@ -202,21 +210,24 @@ class TurningFractions:
     current shortest-path successor so residual pedestrians always route.
     """
 
-    def __init__(self, n_bins: int, successors=None):
+    def __init__(self, n_bins: int, trees=None):
         self.n_bins = n_bins
         # movements[(dest, node)][in_key][out_key] -> mass per bin
         self.movements: dict[tuple[int, int], dict[int, dict[int, np.ndarray]]] = {}
-        # successors[dest] -> sorted [(k_idx, {node: out link id})]
-        self.successors: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        self._succ_keys: dict[int, list[int]] = {}
-        if successors:
-            for dest, by_bin in successors.items():
-                self.successors[dest] = sorted(by_bin.items())
-                self._succ_keys[dest] = [k for k, _ in self.successors[dest]]
+        # Shortest-path trees (`network.Trees`) for the successor fallback; per
+        # destination, the bins of its tree columns in ascending order and those columns.
+        self.trees = trees
+        self._tree_bins: dict[int, list[int]] = {}
+        self._tree_cols: dict[int, list[int]] = {}
+        if trees is not None:
+            for c in np.lexsort((trees.bins, trees.destinations)).tolist():
+                dest = int(trees.destinations[c])
+                self._tree_bins.setdefault(dest, []).append(int(trees.bins[c]))
+                self._tree_cols.setdefault(dest, []).append(c)
 
     @property
     def destinations(self) -> list[int]:
-        return sorted({dest for dest, _ in self.movements} | set(self.successors))
+        return sorted({dest for dest, _ in self.movements} | set(self._tree_cols))
 
     def add_mass(self, dest: int, node: int, in_key: int, out_key: int, t_idx: int, mass: float) -> None:
         rows = self.movements.setdefault((dest, node), {})
@@ -254,12 +265,13 @@ class TurningFractions:
         return []
 
     def _successor(self, dest: int, node: int, t_idx: int) -> int | None:
-        trees = self.successors.get(dest)
-        if not trees:
+        """Successor link in the destination's latest tree at or before t_idx (else its first)."""
+        bins = self._tree_bins.get(dest)
+        if not bins:
             return None
-        pos = bisect.bisect_right(self._succ_keys[dest], t_idx) - 1
-        pos = max(pos, 0)
-        return trees[pos][1].get(node)
+        pos = max(bisect.bisect_right(bins, t_idx) - 1, 0)
+        lid = int(self.trees.succ[self._tree_cols[dest][pos], self.trees.node_index[node]])
+        return lid if lid >= 0 else None
 
 
 def paths_to_turning_fractions(
@@ -267,7 +279,7 @@ def paths_to_turning_fractions(
     network,
     grid,
     cost_fn=None,
-    successors=None,
+    trees=None,
 ) -> TurningFractions:
     """Convert route flows into per-destination turning fractions over time.
 
@@ -275,9 +287,10 @@ def paths_to_turning_fractions(
     path's flow is projected forward through its nodes at the link costs
     frozen at the departure bin (free-flow times when cost_fn is None), and
     accumulated as movement mass per (destination, node, incoming, outgoing).
-    One fraction set results per destination.
+    One fraction set results per destination; `trees` (`network.Trees`)
+    supplies the shortest-path successor fallback.
     """
-    tf = TurningFractions(grid.n_bins, successors=successors)
+    tf = TurningFractions(grid.n_bins, trees=trees)
     dt = grid.dt
     for path, k_idx, flow in path_flows:
         if flow <= 0:

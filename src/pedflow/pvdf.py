@@ -85,15 +85,39 @@ def link_cost_profile(
     u_opp: np.ndarray,
 ) -> np.ndarray:
     """Vectorized link costs: tau/capacity per link (column vectors) against
-    directional inflow trajectories u, u_opp of shape (n_links, n_bins)."""
+    directional inflow trajectories u, u_opp of shape (n_links, n_bins).
+
+    The formula of `link_cost`, computed in place in one output array plus
+    one scratch array in the asymmetric mode.  Each element goes through the
+    same operations as in the plain array expression of that formula, so the
+    result is bit-identical to it.
+    """
     tau = tau[:, None]
     capacity = capacity[:, None]
-    cost = tau * (1.0 + params.alpha * ((u + u_opp) / capacity) ** params.beta)
+    cost = np.empty(np.shape(u))
+    congestion = cost
     if params.mode == "asymmetric":
-        exponent = params.eta_r * (u / capacity - params.lambda_r) ** 2 + params.eta_c * (
-            u_opp / capacity - params.lambda_c
-        ) ** 2
-        cost = cost + tau * params.mu * np.exp(exponent)
+        # the bidirectional bump tau * mu * exp(exponent) first, into cost
+        congestion = np.empty_like(cost)
+        np.divide(u, capacity, out=cost)
+        cost -= params.lambda_r
+        cost **= 2
+        cost *= params.eta_r
+        np.divide(u_opp, capacity, out=congestion)
+        congestion -= params.lambda_c
+        congestion **= 2
+        congestion *= params.eta_c
+        cost += congestion
+        np.exp(cost, out=cost)
+        cost *= tau * params.mu
+    np.add(u, u_opp, out=congestion)
+    congestion /= capacity
+    congestion **= params.beta
+    congestion *= params.alpha
+    congestion += 1.0
+    congestion *= tau
+    if congestion is not cost:
+        cost += congestion
     return cost
 
 

@@ -17,20 +17,28 @@ from pedflow.scenarios import generate_corridor_scenario, generate_grid_scenario
 
 
 def free_flow_column(network):
-    return {lid: link.free_flow_time for lid, link in network.links.items()}
+    """Free-flow link costs as a one-bin cost array, rows in sorted link id order."""
+    return np.array([[network.links[lid].free_flow_time] for lid in network.sorted_link_ids()])
+
+
+def tree(network, costs, destination):
+    """The one-column tree toward destination: (times by node id, successor row)."""
+    trees = shortest_paths(network, costs, [0], [destination])
+    times = {n: d for n, d in zip(network.arrays.nodes, trees.dist[0].tolist()) if d < np.inf}
+    return times, trees.succ[0]
 
 
 class TestShortestPaths:
     def test_grid_ties_break_lexicographically(self):
         net = make_grid_network(3)
-        dist, succ = shortest_paths(net, free_flow_column(net), 9)
+        dist, succ = tree(net, free_flow_column(net), 9)
         path = path_from_successors(net, succ, 1, 9)
         assert path.nodes(net) == (1, 2, 3, 6, 9)
         assert dist[1] == pytest.approx(4 * 2.0 / 1.5)
 
     def test_corridor_unique_route(self):
         net, _, _ = generate_corridor_scenario(preset=4)
-        dist, succ = shortest_paths(net, free_flow_column(net), 10)
+        dist, succ = tree(net, free_flow_column(net), 10)
         path = path_from_successors(net, succ, 1, 10)
         assert path.nodes(net) == tuple(range(1, 11))
 
@@ -38,8 +46,8 @@ class TestShortestPaths:
         net = make_grid_network(3)
         costs = free_flow_column(net)
         blocked = net.link_between(4, 7)
-        costs[blocked.id] += 1e4
-        dist, succ = shortest_paths(net, costs, 9)
+        costs[net.arrays.index[blocked.id]] += 1e4
+        dist, succ = tree(net, costs, 9)
         path = path_from_successors(net, succ, 1, 9)
         assert blocked.id not in path.link_ids
         assert dist[1] < 1e3
@@ -48,16 +56,16 @@ class TestShortestPaths:
         nodes = [Node(1), Node(2), Node(3)]
         links = [Link(1, 1, 2, 2.0, 4.0, 1.5, 5.4, 0.5, 8.1)]
         net = Network(nodes, links)
-        dist, succ = shortest_paths(net, {1: 1.0}, 2)
+        dist, succ = tree(net, np.array([[1.0]]), 2)
         assert 3 not in dist
         assert path_from_successors(net, succ, 3, 2) is None
 
     def test_negative_cost_rejected(self):
         net = make_grid_network(3)
         costs = free_flow_column(net)
-        costs[1] = -1.0
+        costs[net.arrays.index[1]] = -1.0
         with pytest.raises(ValueError):
-            shortest_paths(net, costs, 9)
+            shortest_paths(net, costs, [0], [9])
 
 
 class TestCostField:

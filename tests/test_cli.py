@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pedflow
 from pedflow.cli import EXIT_INVALID, EXIT_OK, main
 
 
@@ -105,3 +108,12 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
+
+    def test_import_does_not_load_scipy(self):
+        # scipy.sparse.csgraph alone adds about 28 MB of resident memory
+        src = str(Path(pedflow.__file__).resolve().parents[1])
+        code = "import sys, pedflow, pedflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,6 +1,10 @@
+import heapq
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedflow.network import (
     DemandProfile,
@@ -13,6 +17,7 @@ from pedflow.network import (
     enumerate_paths,
     load_demand,
     load_network,
+    shortest_paths,
     validate_demand,
     validate_network,
     validate_time_grid,
@@ -173,6 +178,115 @@ class TestEnumeratePaths:
         a = [p.link_ids for p in enumerate_paths(net, (1, 9), 6)]
         b = [p.link_ids for p in enumerate_paths(net, (1, 9), 6)]
         assert a == b
+
+
+def reference_tree(network, costs_by_link, destination):
+    """Heap Dijkstra toward destination, then each node's tight link with the
+    smallest (next node id, link id): (times by node id, successor by node id)."""
+    dist = {destination: 0.0}
+    heap = [(0.0, destination)]
+    done = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for lid in network.in_links[node]:
+            tail = network.links[lid].from_node
+            nd = d + costs_by_link[lid]
+            if nd < dist.get(tail, math.inf):
+                dist[tail] = nd
+                heapq.heappush(heap, (nd, tail))
+    succ = {}
+    for node, d in dist.items():
+        if node == destination:
+            continue
+        tight = [
+            (network.links[lid].to_node, lid)
+            for lid in network.out_links[node]
+            if network.links[lid].to_node in dist
+            and costs_by_link[lid] + dist[network.links[lid].to_node] <= d + 1e-9 * max(1.0, d)
+        ]
+        if tight:
+            succ[node] = min(tight)[1]
+    return dist, succ
+
+
+# Few distinct costs, zero among them, so that equal-cost routes are common;
+# 1 + 1e-10 ties with 1 only within the successor tolerance.
+COSTS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-10, 1.5, 2.0]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def trees_problems(draw):
+    """A small network of paired and one-way links with scattered node and link
+    ids, a cost array over a few bins, and several (bin, destination) columns."""
+    n_nodes = draw(st.integers(2, 8))
+    node_ids = draw(st.lists(st.integers(1, 60), min_size=n_nodes, max_size=n_nodes, unique=True))
+    link_ids = iter(draw(st.lists(st.integers(1, 500), min_size=28, max_size=28, unique=True)))
+    attrs = dict(length=2.0, width=4.0, v_f=1.5, k_jam=5.4, omega=0.5, capacity=8.1)
+    links = []
+    segments = st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids), st.booleans())
+    for a, b, paired in draw(st.lists(segments, max_size=14)):
+        if a == b:
+            continue
+        lid = next(link_ids)
+        if paired:
+            twin = next(link_ids)
+            links += [Link(lid, a, b, opposite=twin, **attrs), Link(twin, b, a, opposite=lid, **attrs)]
+        else:
+            links.append(Link(lid, a, b, **attrs))
+    net = Network([Node(n) for n in node_ids], links)
+    n_bins = draw(st.integers(1, 3))
+    rows = st.lists(COSTS, min_size=n_bins, max_size=n_bins)
+    costs = np.array(draw(st.lists(rows, min_size=len(links), max_size=len(links))), dtype=float)
+    costs = costs.reshape(len(links), n_bins)
+    columns = draw(st.lists(st.tuples(st.integers(0, n_bins - 1), st.sampled_from(node_ids)),
+                            min_size=1, max_size=6))
+    return net, costs, columns
+
+
+class TestShortestPathKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(trees_problems())
+    def test_matches_heap_dijkstra_reference(self, problem):
+        net, costs, columns = problem
+        trees = shortest_paths(net, costs, [b for b, _ in columns], [d for _, d in columns])
+        index = net.arrays.node_index
+        assert trees.dist.shape == trees.succ.shape == (len(columns), len(net.nodes))
+        for c, (b, dest) in enumerate(columns):
+            by_link = {lid: costs[row, b] for row, lid in enumerate(net.sorted_link_ids())}
+            ref_dist, ref_succ = reference_tree(net, by_link, dest)
+            dist, succ = trees.dist[c], trees.succ[c]
+            for node in net.nodes:
+                d = dist[index[node]]
+                if node not in ref_dist:
+                    assert d == math.inf
+                    assert succ[index[node]] == -1
+                    continue
+                assert d == ref_dist[node]
+                assert succ[index[node]] == ref_succ.get(node, -1)
+                # the exact fixed point of the Bellman equations
+                if node == dest:
+                    assert d == 0.0
+                else:
+                    assert d == min(by_link[lid] + dist[index[net.links[lid].to_node]]
+                                    for lid in net.out_links[node])
+
+    @settings(max_examples=50, deadline=None)
+    @given(trees_problems(), st.data())
+    def test_negative_cost_rejected(self, problem, data):
+        net, costs, columns = problem
+        if not len(net.links):
+            return
+        b, _ = data.draw(st.sampled_from(columns))
+        row = data.draw(st.integers(0, len(net.links) - 1))
+        costs[row, b] = -data.draw(st.floats(1e-12, 10.0))
+        with pytest.raises(ValueError, match="negative cost"):
+            shortest_paths(net, costs, [b for b, _ in columns], [d for _, d in columns])
 
 
 class TestFileFormats:

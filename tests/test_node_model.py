@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from pedflow import nodemodel
 from pedflow.ltm import counterflow_at
-from pedflow.network import TimeGrid
+from pedflow.network import TimeGrid, Trees
 from pedflow.nodemodel import (
     ORIGIN,
     SINK,
@@ -148,6 +149,15 @@ class TestOptimalityAndProportionality:
         # the first row stays supply-constrained; flows into the bottleneck unchanged
         assert base.flows[:, 0] == pytest.approx(scaled.flows[:, 0], abs=1e-12)
 
+    def test_simplex_pivot_cap_fails_loudly(self, monkeypatch):
+        S = np.array([[4.0, 2.0, 1.0], [3.0, 5.0, 0.0], [1.0, 1.0, 6.0]])
+        available = np.array([3.0, 4.0, 2.0])
+        q, _ = nodemodel._max_total_vertex(S, available)
+        assert q.sum() == pytest.approx(brute_force_max_total(S, available), rel=1e-9)
+        monkeypatch.setattr(nodemodel, "PIVOTS_PER_DIMENSION", 0)
+        with pytest.raises(RuntimeError, match="pivot"):
+            nodemodel._max_total_vertex(S, available)
+
 
 def reservation(net, link_id, U, t):
     """counterflow_at for one link, with dt = 1 s."""
@@ -242,8 +252,11 @@ class TestTurningFractions:
 
     def test_zero_flow_falls_back_to_successor(self):
         net, grid = self.grid_paths()
-        succ = {9: {0: {1: 1, 2: 5}}}
-        tf = TurningFractions(grid.n_bins, successors=succ)
+        succ = np.full((1, len(net.nodes)), -1)
+        succ[0, net.arrays.node_index[1]] = 1
+        succ[0, net.arrays.node_index[2]] = 5
+        trees = Trees(np.array([0]), np.array([9]), np.zeros(succ.shape), succ, net.arrays.node_index)
+        tf = TurningFractions(grid.n_bins, trees=trees)
         assert tf.fractions(9, 1, ORIGIN, 7) == [(1, 1.0)]
         assert tf.fractions(9, 2, 1, 0) == [(5, 1.0)]
 

@@ -9,6 +9,7 @@ from pedflow.pvdf import (
     experienced_route_time,
     instantaneous_route_time,
     link_cost,
+    link_cost_profile,
 )
 
 
@@ -75,6 +76,36 @@ class TestLinkCost:
     def test_beta_below_one_rejected(self):
         with pytest.raises(ValueError):
             PvdfParams(beta=0.5)
+
+
+def out_of_place_profile(tau, capacity, params, u, u_opp):
+    """Reference: the link cost profile as one out-of-place array expression."""
+    tau = tau[:, None]
+    capacity = capacity[:, None]
+    cost = tau * (1.0 + params.alpha * ((u + u_opp) / capacity) ** params.beta)
+    if params.mode == "asymmetric":
+        exponent = params.eta_r * (u / capacity - params.lambda_r) ** 2 + params.eta_c * (
+            u_opp / capacity - params.lambda_c
+        ) ** 2
+        cost = cost + tau * params.mu * np.exp(exponent)
+    return cost
+
+
+class TestLinkCostProfile:
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5, 4.0])
+    def test_bit_identical_to_out_of_place_expression(self, mode, beta):
+        rng = np.random.default_rng(int(beta * 10) + len(mode))
+        params = PvdfParams(alpha=rng.uniform(0.1, 2.0), beta=beta, mode=mode,
+                            mu=rng.uniform(0.0, 1.5), eta_r=-rng.uniform(0.0, 6.0),
+                            lambda_r=rng.uniform(0.0, 1.0), eta_c=-rng.uniform(0.0, 6.0),
+                            lambda_c=rng.uniform(0.0, 1.0))
+        tau = rng.uniform(0.5, 20.0, 37)
+        capacity = rng.uniform(1.0, 12.0, 37)
+        u = rng.uniform(0.0, 15.0, (37, 23))
+        u_opp = rng.uniform(0.0, 15.0, (37, 23)) * (rng.random((37, 1)) < 0.8)
+        got = link_cost_profile(tau, capacity, params, u, u_opp)
+        assert np.array_equal(got, out_of_place_profile(tau, capacity, params, u, u_opp))
 
 
 class TestInstantaneousRouteTime:
