@@ -204,7 +204,7 @@ def run_due(network: Network, demand, cfg, loader=None):
                 k = min(k, last)
                 for od, pos in entries:
                     for row, rows in enumerate(state.link_rows[od]):
-                        path_times[od][row, pos] = sum(costs[rows, k].tolist())
+                        path_times[od][row, pos] = pvdf.instantaneous_route_time(rows, costs, k)
         return trees
 
     trees = build_trees(costs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -121,13 +121,14 @@ def link_cost_profile(
     return cost
 
 
-def instantaneous_route_time(path, costs_at_k: Mapping[int, float]) -> float:
+def instantaneous_route_time(rows, costs: np.ndarray, k: int) -> float:
     """Pre-trip route time: the sum of link costs all frozen at the departure bin.
 
-    `costs_at_k` maps link id to the link cost evaluated at the traveller's
-    departure instant.
+    `rows` are the rows of the path's links in the `(n_links, n_bins)` cost
+    array, in route order; `k` is the departure bin.  The sum runs left to
+    right over Python floats.
     """
-    return sum(costs_at_k[link_id] for link_id in path.link_ids)
+    return sum(costs[rows, k].tolist())
 
 
 def experienced_route_time(

@@ -110,17 +110,25 @@ class TestLinkCostProfile:
 
 class TestInstantaneousRouteTime:
     def test_free_flow_sum(self):
-        path = Path(od=(1, 4), link_ids=(11, 12, 13))
-        costs = {11: 2.0, 12: 3.0, 13: 4.5}
-        assert instantaneous_route_time(path, costs) == pytest.approx(9.5)
+        costs = np.array([[2.0], [3.0], [4.5]])
+        assert instantaneous_route_time(np.array([0, 1, 2]), costs, 0) == pytest.approx(9.5)
 
     def test_singleton(self):
-        path = Path(od=(1, 2), link_ids=(7,))
-        assert instantaneous_route_time(path, {7: 3.25}) == 3.25
+        assert instantaneous_route_time(np.array([0]), np.array([[3.25]]), 0) == 3.25
 
     def test_two_link_additivity(self):
-        path = Path(od=(1, 3), link_ids=(1, 2))
-        assert instantaneous_route_time(path, {1: 1.5, 2: 2.5}) == 4.0
+        assert instantaneous_route_time(np.array([0, 1]), np.array([[1.5], [2.5]]), 0) == 4.0
+
+    def test_reads_the_departure_bin_column(self):
+        costs = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0]])
+        assert instantaneous_route_time(np.array([2, 0]), costs, 0) == 5.0
+        assert instantaneous_route_time(np.array([2, 0]), costs, 1) == 50.0
+
+    def test_left_to_right_python_float_sum(self):
+        costs = np.array([[0.1], [0.2], [0.3]])
+        got = instantaneous_route_time(np.array([0, 1, 2]), costs, 0)
+        assert got == (0.1 + 0.2) + 0.3
+        assert type(got) is float
 
 
 class TestExperiencedRouteTime:
@@ -128,9 +136,10 @@ class TestExperiencedRouteTime:
         path = Path(od=(1, 4), link_ids=(1, 2, 3))
         costs = {1: 2.0, 2: 3.0, 3: 4.0}
         fd_fn = lambda lid, t: costs[lid]
+        cost_array = np.array([[costs[lid]] for lid in path.link_ids])
         for k in (0.0, 5.0, 17.0):
             assert experienced_route_time(path, fd_fn, k) == pytest.approx(
-                instantaneous_route_time(path, costs)
+                instantaneous_route_time(np.arange(len(path.link_ids)), cost_array, 0)
             )
 
     def test_cost_rise_after_arrival_increases_experienced(self):
@@ -144,7 +153,7 @@ class TestExperiencedRouteTime:
             return 10.0 if t >= 3.0 else 5.0
 
         experienced = experienced_route_time(path, fd_fn, 0.0)
-        instantaneous = instantaneous_route_time(path, {1: 3.0, 2: 5.0})
+        instantaneous = instantaneous_route_time(np.array([0, 1]), np.array([[3.0], [5.0]]), 0)
         assert experienced == pytest.approx(13.0)
         assert experienced > instantaneous
 
