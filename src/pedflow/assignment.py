@@ -90,7 +90,6 @@ class AssignmentState:
             rates[od][k] = rates[od].get(k, 0.0) + e.rate
         self.ods = sorted(rates)
         self.k_bins = {od: sorted(rates[od]) for od in self.ods}
-        self.k_pos = {od: {k: i for i, k in enumerate(self.k_bins[od])} for od in self.ods}
         self.rates = {od: np.array([rates[od][k] for k in self.k_bins[od]]) for od in self.ods}
         self.paths: dict[tuple[int, int], list[Path]] = {od: [] for od in self.ods}
         # link_rows[od][row]: the cost-array rows of that path's links, in route order
@@ -180,7 +179,7 @@ def run_due(network: Network, demand, cfg, loader=None):
             )
 
     state = AssignmentState(network, grid, demand)
-    if getattr(cfg, "enumerate_paths", True):
+    if cfg.enumerate_paths:
         for od in state.ods:
             for path in enumerate_paths(network, od, cfg.max_paths, cfg.detour):
                 state.ensure_path(od, path)
@@ -189,7 +188,7 @@ def run_due(network: Network, demand, cfg, loader=None):
     for od in state.ods:
         for pos, k in enumerate(state.k_bins[od]):
             departures.setdefault(k, []).append((od, pos))
-    index, last = network.arrays.index, grid.n_bins - 1
+    last = grid.n_bins - 1
     # One tree column per departure bin and destination departing in it.
     columns = [(k, dest) for k in sorted(departures) for dest in sorted({od[1] for od, _ in departures[k]})]
     column_of = {kd: c for c, kd in enumerate(columns)}
@@ -224,10 +223,7 @@ def run_due(network: Network, demand, cfg, loader=None):
             aon[od] = chosen
         update_flows(state, aon, n)
 
-        fractions = paths_to_turning_fractions(
-            state.path_flow_items(), network, grid,
-            cost_fn=lambda lid, k: float(costs[index[lid], min(k, last)]), trees=trees,
-        )
+        fractions = paths_to_turning_fractions(state.path_flow_items(), network, grid, costs, trees)
         result = loader(network, grid, demand, fractions, state)
         new_costs = costs_from_loading(network, grid, result, cfg.pvdf, penalties)
         if not np.isfinite(new_costs).all():

@@ -128,8 +128,9 @@ def run_scenario(cfg: ScenarioConfig, network: Network, demand: DemandProfile, o
 class TimeSpaceMatrix:
     """Density and flow of a link chain over time.
 
-    density[s, b] is ped/m^2 on segment s at instant b * dt; flow[s, b] is the
-    exit-boundary flux of segment s during [b, b+1) in ped/m/s.
+    density[s, b] is ped/m^2 on segment s at instant t_offset + b * dt;
+    flow[s, b] is the exit-boundary flux of segment s during that step in
+    ped/m/s.  t_offset is nonzero on a slice_time sub-matrix.
     """
 
     link_ids: tuple[int, ...]
@@ -137,6 +138,7 @@ class TimeSpaceMatrix:
     dt: float
     density: np.ndarray
     flow: np.ndarray
+    t_offset: float = 0.0
 
     @property
     def n_segments(self) -> int:
@@ -150,19 +152,18 @@ class TimeSpaceMatrix:
         return float(np.diff(self.x_edges).mean())
 
     def slice_time(self, t0: float, t1: float) -> "TimeSpaceMatrix":
-        """Sub-matrix covering instants in [t0, t1); bins keep absolute times
-        via the offset recorded in t_offset."""
-        b0 = max(int(t0 / self.dt), 0)
-        b1 = min(int(math.ceil(t1 / self.dt)), self.n_bins)
-        sub = TimeSpaceMatrix(
+        """Sub-matrix covering the absolute instants in [t0, t1); its bins keep
+        absolute times through t_offset, so slices of slices compose."""
+        b0 = max(int((t0 - self.t_offset) / self.dt), 0)
+        b1 = min(int(math.ceil((t1 - self.t_offset) / self.dt)), self.n_bins)
+        return TimeSpaceMatrix(
             link_ids=self.link_ids,
             x_edges=self.x_edges,
             dt=self.dt,
             density=self.density[:, b0:b1],
             flow=self.flow[:, b0:b1],
+            t_offset=self.t_offset + b0 * self.dt,
         )
-        sub.t_offset = b0 * self.dt + getattr(self, "t_offset", 0.0)
-        return sub
 
 
 def build_time_space(network: Network, curves: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -221,7 +222,6 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
     if not mask.any():
         return []
 
-    t_offset = getattr(ts, "t_offset", 0.0)
     cell = ts.cell_length()
     tracks: list[dict] = []
     for b in range(mask.shape[1]):
@@ -235,7 +235,7 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
             w = jump[cluster, b]
             x = float((ts.x_edges[cluster + 1] * w).sum() / w.sum())
             points.append(x)
-        t = b * ts.dt + t_offset
+        t = ts.t_offset + b * ts.dt
         open_tracks = [tr for tr in tracks if t - tr["times"][-1] <= 2.0 * ts.dt + 1e-9]
         for x in points:
             best, best_d = None, 1.6 * cell

@@ -169,106 +169,73 @@ def load_network(
             S_all = ltm.sending_flows_at(U, V, t, dt, L, np.maximum(vhat, 1e-15), CAP)
         S_all[vhat <= 0] = 0.0
         storage = rho * storage_phys if effective_storage else storage_phys
-        R_all = ltm.receiving_flows_at(V, U, t, dt, L, OM, storage, CAP)
-        counterflow = ltm.counterflow_at(U, t, dt, twin, L, VF)
+        # one entry past the links for the sink: unlimited supply, nothing reserved
+        R_all = np.append(ltm.receiving_flows_at(V, U, t, dt, L, OM, storage, CAP), np.inf)
+        counterflow = np.append(ltm.counterflow_at(U, t, dt, twin, L, VF), 0.0)
 
-        active = set(int(n) for n in arrays.to_node[S_all > eps])
-        for origin, q in queues.items():
-            if q.sum() > eps:
-                active.add(origin)
+        active = set(arrays.to_node[S_all > eps].tolist()) | {o for o, q in queues.items() if q.sum() > eps}
 
         dU = np.zeros((n_links, n_dest))
         dV = np.zeros((n_links, n_dest))
 
         for node_id in sorted(active):
-            rows = []  # (in_key, [(dest column, out column key, persons), ...])
+            # sending in keys with their persons per destination: the FIFO split
+            # of each in-link, then the origin queue
+            senders = []
             for lid in network.in_links.get(node_id, ()):
-                li = idx[lid]
-                s_i = S_all[li]
-                if s_i <= eps:
-                    continue
-                comp = ltm.split_by_entry_order(U[li], Ud[li], V[li, t], V[li, t] + s_i, t)
-                moves = []
-                for d in range(n_dest):
-                    if comp[d] <= eps:
+                i = idx[lid]
+                if S_all[i] > eps:
+                    senders.append((lid, ltm.split_by_entry_order(U[i], Ud[i], V[i, t], V[i, t] + S_all[i], t)))
+            if node_id in queues and queues[node_id].sum() > eps:
+                senders.append((ORIGIN, queues[node_id]))
+            in_keys: list[int] = []
+            moves: list[tuple[int, int, int, float]] = []  # (row, dest column, out key, persons)
+            for in_key, persons in senders:
+                n_moves, row = len(moves), len(in_keys)
+                for d, p in enumerate(persons.tolist()):
+                    if p <= eps:
                         continue
-                    fracs = fractions.fractions(destinations[d], node_id, lid, t)
-                    if not fracs:
-                        result.unroutable += comp[d]
-                        continue
-                    for out_key, frac in fracs:
+                    fracs = fractions.fractions(destinations[d], node_id, in_key, t)
+                    if not fracs and in_key != ORIGIN:  # queued persons stay queued, not lost
+                        result.unroutable += p
+                    for key, frac in fracs:
                         if frac > 0:
-                            moves.append((d, out_key, comp[d] * frac))
-                if moves:
-                    rows.append((lid, moves))
-            queue = queues.get(node_id)
-            if queue is not None and queue.sum() > eps:
-                moves = []
-                for d in range(n_dest):
-                    if queue[d] <= eps:
-                        continue
-                    fracs = fractions.fractions(destinations[d], node_id, ORIGIN, t)
-                    if not fracs:
-                        continue  # stays queued, not lost
-                    for out_key, frac in fracs:
-                        if frac > 0:
-                            moves.append((d, out_key, queue[d] * frac))
-                if moves:
-                    rows.append((ORIGIN, moves))
-            if not rows:
+                            moves.append((row, d, key, p * frac))
+                if len(moves) > n_moves:
+                    in_keys.append(in_key)
+            if not moves:
                 continue
 
-            out_keys = sorted({m[1] for _, moves in rows for m in moves if m[1] != SINK})
-            has_sink = any(m[1] == SINK for _, moves in rows for m in moves)
-            cols = {key: c for c, key in enumerate(out_keys)}
-            n_out = len(out_keys) + (1 if has_sink else 0)
-            if has_sink:
-                cols[SINK] = n_out - 1
-            demands = np.zeros((len(rows), n_out))
-            for r, (in_key, moves) in enumerate(rows):
-                for d, out_key, mass in moves:
-                    demands[r, cols[out_key]] += mass
-            supplies = np.empty(n_out)
-            reserved = np.zeros(n_out)
-            for key, c in cols.items():
-                if key == SINK:
-                    supplies[c] = np.inf
-                else:
-                    oi = idx[key]
-                    supplies[c] = R_all[oi]
-                    reserved[c] = counterflow[oi]
-
+            # columns: the used out keys in ascending order, the sink last
+            keys = sorted({m[2] for m in moves}, key=lambda key: (key == SINK, key))
+            col = {key: c for c, key in enumerate(keys)}
+            demands = np.zeros((len(in_keys), len(keys)))
+            for r, d, out_key, mass in moves:
+                demands[r, col[out_key]] += mass
+            out_rows = [idx.get(key, n_links) for key in keys]  # the sink reads the entry past the links
+            supplies, reserved = R_all.take(out_rows), counterflow.take(out_rows)
             sol = solve_node(NodeFlowProblem(demands, supplies, reserved))
             result.supply_clamps += len(sol.clamped)
 
-            for r, (in_key, moves) in enumerate(rows):
-                theta = sol.reductions[r]
-                if theta <= 0:
+            theta = sol.reductions.tolist()
+            for r, d, out_key, mass in moves:
+                flow = theta[r] * mass
+                if flow <= 0:
                     continue
-                for d, out_key, mass in moves:
-                    flow = theta * mass
-                    if flow <= 0:
-                        continue
-                    if out_key == SINK:
-                        result.completed[d] += flow
-                    else:
-                        dU[idx[out_key], d] += flow
-                    if in_key == ORIGIN:
-                        queues[node_id][d] -= flow
-                        result.loaded[d] += flow
-                    else:
-                        dV[idx[in_key], d] += flow
+                if out_key == SINK:
+                    result.completed[d] += flow
+                else:
+                    dU[idx[out_key], d] += flow
+                if in_keys[r] == ORIGIN:
+                    queues[node_id][d] -= flow
+                    result.loaded[d] += flow
+                else:
+                    dV[idx[in_keys[r]], d] += flow
             if node_trace:
-                for r, (in_key, moves) in enumerate(rows):
-                    per_out: dict[int, float] = {}
-                    for d, out_key, mass in moves:
-                        per_out[out_key] = per_out.get(out_key, 0.0) + mass
-                    for out_key in sorted(per_out):
-                        c = cols[out_key]
-                        result.node_trace.append(
-                            (node_id, t * dt, in_key, out_key, per_out[out_key],
-                             supplies[c], reserved[c], sol.reductions[r] * per_out[out_key])
-                        )
+                order = sorted(range(len(keys)), key=keys.__getitem__)  # ascending: the sink first
+                for in_key, s_row, theta_r in zip(in_keys, demands.tolist(), theta):
+                    result.node_trace += [(node_id, t * dt, in_key, keys[c], s_row[c], supplies[c], reserved[c],
+                                           theta_r * s_row[c]) for c in order if s_row[c] > 0]
 
         for q in queues.values():
             np.clip(q, 0.0, None, out=q)

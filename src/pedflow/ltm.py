@@ -86,28 +86,30 @@ def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0: float, r1: float, t:
 
 def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank: float, t: int) -> np.ndarray:
     """Per-destination entries among the first `rank` entrants (interpolated)."""
-    head = U[: t + 1]
-    rank = min(rank, head[-1])
-    idx = int(np.searchsorted(head, rank, side="left"))
-    if idx == 0:
-        return Ud[:, 0] * 0.0 if rank <= 0 else Ud[:, 0].copy()
-    denom = head[idx] - head[idx - 1]
-    frac = (rank - head[idx - 1]) / denom if denom > 0 else 0.0
-    return Ud[:, idx - 1] * (1.0 - frac) + Ud[:, idx] * frac
+    b, frac = _rank_position(U[: t + 1], rank)
+    return Ud[:, b] * (1.0 - frac) + Ud[:, b + 1] * frac
 
 
 def crossing_time(arr: np.ndarray, rank: float, dt: float, n_valid: int) -> float | None:
     """First instant a cumulative curve reaches `rank`, or None if it never does.
 
     Only bins up to n_valid are trusted (later bins may not be written yet).
+    A rank within 1e-12 above the last sample crosses there.
     """
     head = arr[: n_valid + 1]
     if head[-1] < rank - 1e-12:
         return None
-    rank = min(rank, head[-1])  # a rank within the slack above the last sample crosses there
+    b, frac = _rank_position(head, rank)
+    return (b + frac) * dt
+
+
+def _rank_position(head: np.ndarray, rank: float) -> tuple[int, float]:
+    """(sample, fraction): the nondecreasing samples `head` first reach `rank`,
+    clamped to the last sample, at sample + fraction (linear interpolation);
+    (0, 0.0) when the first sample already reaches it."""
+    rank = min(rank, head[-1])
     idx = int(np.searchsorted(head, rank, side="left"))
     if idx == 0:
-        return 0.0
+        return 0, 0.0
     denom = head[idx] - head[idx - 1]
-    frac = (rank - head[idx - 1]) / denom if denom > 0 else 0.0
-    return (idx - 1 + frac) * dt
+    return idx - 1, (rank - head[idx - 1]) / denom if denom > 0 else 0.0

@@ -16,11 +16,12 @@ makes opposing streams take turns instead of wedging solid.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .network import shortest_paths
 
 # Virtual row/column keys used when a node problem includes trip ends.
 ORIGIN = -1  # incoming side: demand queued at an origin centroid
@@ -203,35 +204,34 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
 
 
 class TurningFractions:
-    """Per-destination, per-node movement split over time, with fallbacks.
+    """Per-destination, per-node movement split over time, with a successor fallback.
 
     Movement mass comes from the route flows; where no mass exists for an
-    incoming link at some instant, the split falls back to the destination's
-    current shortest-path successor so residual pedestrians always route.
+    incoming link at some instant, the split follows the destination's
+    shortest-path successor in `trees` (`network.Trees`), so residual
+    pedestrians route wherever the destination can be reached.
     """
 
-    def __init__(self, n_bins: int, trees=None):
+    def __init__(self, n_bins: int, trees):
         self.n_bins = n_bins
-        # movements[(dest, node)][in_key][out_key] -> mass per bin
-        self.movements: dict[tuple[int, int], dict[int, dict[int, np.ndarray]]] = {}
-        # Shortest-path trees (`network.Trees`) for the successor fallback; per
-        # destination, the bins of its tree columns in ascending order and those columns.
+        # movements[(dest, node, in_key)][out_key] -> mass per bin
+        self.movements: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
         self.trees = trees
-        self._tree_bins: dict[int, list[int]] = {}
-        self._tree_cols: dict[int, list[int]] = {}
-        if trees is not None:
-            for c in np.lexsort((trees.bins, trees.destinations)).tolist():
-                dest = int(trees.destinations[c])
-                self._tree_bins.setdefault(dest, []).append(int(trees.bins[c]))
-                self._tree_cols.setdefault(dest, []).append(c)
+        # per destination and bin, the tree column of the latest tree bin at or
+        # before it (its first tree before that)
+        self._columns: dict[int, list[int]] = {}
+        order = np.lexsort((trees.bins, trees.destinations))
+        for dest in sorted(set(trees.destinations.tolist())):
+            cols = order[trees.destinations[order] == dest]
+            pos = np.searchsorted(trees.bins[cols], np.arange(n_bins), side="right") - 1
+            self._columns[dest] = cols[np.maximum(pos, 0)].tolist()
 
     @property
     def destinations(self) -> list[int]:
-        return sorted({dest for dest, _ in self.movements} | set(self._tree_cols))
+        return sorted({key[0] for key in self.movements} | set(self._columns))
 
     def add_mass(self, dest: int, node: int, in_key: int, out_key: int, t_idx: int, mass: float) -> None:
-        rows = self.movements.setdefault((dest, node), {})
-        outs = rows.setdefault(in_key, {})
+        outs = self.movements.setdefault((dest, node, in_key), {})
         arr = outs.get(out_key)
         if arr is None:
             arr = outs[out_key] = np.zeros(self.n_bins)
@@ -240,69 +240,50 @@ class TurningFractions:
     def fractions(self, dest: int, node: int, in_key: int, t_idx: int) -> list[tuple[int, float]]:
         """Normalized split [(out_key, fraction), ...] for one incoming link.
 
-        Resolution order: the movement mass at this instant; the shortest-path
-        successor (residual pedestrians follow the currently cheapest route);
-        as a last resort the row's time-aggregated split, which keeps
-        off-schedule pedestrians moving when no successor trees were given.
+        The movement mass at this instant decides; without any, residual
+        pedestrians follow the shortest-path successor.  Empty only where the
+        destination cannot be reached from the node (or has no tree column).
         """
         if node == dest:
             return [(SINK, 1.0)]
-        rows = self.movements.get((dest, node))
-        outs = rows.get(in_key) if rows is not None else None
+        t = min(t_idx, self.n_bins - 1)
+        outs = self.movements.get((dest, node, in_key))
         if outs is not None:
-            t = min(t_idx, self.n_bins - 1)
             total = sum(arr[t] for arr in outs.values())
             if total > 1e-15:
                 return [(key, arr[t] / total) for key, arr in sorted(outs.items()) if arr[t] > 0]
-        succ = self._successor(dest, node, t_idx)
-        if succ is not None:
-            return [(succ, 1.0)]
-        if outs is not None:
-            sums = {key: arr.sum() for key, arr in sorted(outs.items())}
-            total = sum(sums.values())
-            if total > 1e-15:
-                return [(key, s / total) for key, s in sums.items() if s > 0]
-        return []
-
-    def _successor(self, dest: int, node: int, t_idx: int) -> int | None:
-        """Successor link in the destination's latest tree at or before t_idx (else its first)."""
-        bins = self._tree_bins.get(dest)
-        if not bins:
-            return None
-        pos = max(bisect.bisect_right(bins, t_idx) - 1, 0)
-        lid = int(self.trees.succ[self._tree_cols[dest][pos], self.trees.node_index[node]])
-        return lid if lid >= 0 else None
+        cols = self._columns.get(dest)
+        lid = -1 if cols is None else int(self.trees.succ[cols[t], self.trees.node_index[node]])
+        return [(lid, 1.0)] if lid >= 0 else []
 
 
-def paths_to_turning_fractions(
-    path_flows,
-    network,
-    grid,
-    cost_fn=None,
-    trees=None,
-) -> TurningFractions:
+def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None) -> TurningFractions:
     """Convert route flows into per-destination turning fractions over time.
 
     path_flows is an iterable of (path, departure bin, flow in ped/s).  Each
     path's flow is projected forward through its nodes at the link costs
-    frozen at the departure bin (free-flow times when cost_fn is None), and
-    accumulated as movement mass per (destination, node, incoming, outgoing).
-    One fraction set results per destination; `trees` (`network.Trees`)
-    supplies the shortest-path successor fallback.
+    frozen at the departure bin (costs: `(n_links, n_bins)`, rows in sorted
+    link id order; free-flow times when None), and accumulated as movement
+    mass per (destination, node, incoming, outgoing).  `trees`
+    (`network.Trees`) supplies the successor fallback; when None, free-flow
+    trees toward the paths' destinations are built.
     """
-    tf = TurningFractions(grid.n_bins, trees=trees)
-    dt = grid.dt
+    arrays = network.arrays
+    free_flow = (arrays.length / arrays.v_f)[:, None]
+    costs = free_flow if costs is None else costs
+    path_flows = [item for item in path_flows if item[2] > 0]
+    if trees is None:
+        dests = sorted({path.od[1] for path, _, _ in path_flows})
+        trees = shortest_paths(network, free_flow, [0] * len(dests), dests)
+    tf = TurningFractions(grid.n_bins, trees)
+    dt, last = grid.dt, costs.shape[1] - 1
     for path, k_idx, flow in path_flows:
-        if flow <= 0:
-            continue
         dest = path.od[1]
         t = k_idx * dt
         in_key = ORIGIN
         for lid in path.link_ids:
-            link = network.links[lid]
-            tf.add_mass(dest, link.from_node, in_key, lid, int(t / dt + 1e-9), flow)
-            c = cost_fn(lid, k_idx) if cost_fn is not None else link.free_flow_time
-            t += c
+            tf.add_mass(dest, network.links[lid].from_node, in_key, lid, int(t / dt + 1e-9), flow)
+            t += float(costs[arrays.index[lid], min(k_idx, last)])
             in_key = lid
         tf.add_mass(dest, dest, in_key, SINK, int(t / dt + 1e-9), flow)
     return tf

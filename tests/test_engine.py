@@ -171,6 +171,15 @@ class TestShockwaveDetection:
         fronts = detect_shockwaves(sub)
         assert fronts and fronts[0].times.min() >= 20.0
 
+    def test_slice_of_a_slice_reads_absolute_instants(self):
+        ts = synthetic_two_state(-0.25)
+        direct = ts.slice_time(30.0, 40.0)
+        nested = ts.slice_time(20.0, 50.0).slice_time(30.0, 40.0)
+        assert nested.density.shape == direct.density.shape == (ts.n_segments, 10)
+        assert nested.t_offset == direct.t_offset == 30.0
+        assert np.array_equal(nested.density, direct.density)
+        assert np.array_equal(nested.flow, direct.flow)
+
 
 class TestRouteTimesExport:
     def test_instantaneous_and_experienced_columns(self, grid_run):

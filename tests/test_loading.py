@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pedflow.assignment import run_due
+from pedflow.config import ScenarioConfig
 from pedflow.fd import FDParams, FDState, density_ratio, effective_speed, effective_speed_profile
 from pedflow.loading import load_network as load_flows
+from pedflow.ltm import _counts_up_to_rank
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
 from pedflow.nodemodel import paths_to_turning_fractions
-from pedflow.scenarios import generate_corridor_scenario
+from pedflow.scenarios import generate_corridor_scenario, make_grid_network
 
 
 def one_way_chain():
@@ -225,3 +230,76 @@ class TestBidirectionalCorridor:
         d10 = res2.destinations.index(10)
         assert res2.completed[d10] < res1.completed.sum() - 1e-6
         assert res2.conservation_violations() == []
+
+
+@st.composite
+def grid_assignments(draw):
+    """A 2x2 to 4x4 grid with 1-3 OD pairs, each with random rates over a few departure bins."""
+    n = draw(st.integers(2, 4))
+    nodes = st.integers(1, n * n)
+    ods = draw(st.lists(st.tuples(nodes, nodes).filter(lambda od: od[0] != od[1]),
+                        min_size=1, max_size=3, unique=True))
+    demand = DemandProfile()
+    for origin, dest in ods:
+        for k in range(draw(st.integers(1, 6))):
+            demand.add(origin, dest, float(k), draw(st.floats(0.1, 8.0)))
+    net = make_grid_network(n, origins={o for o, _ in ods}, destinations={d for _, d in ods})
+    cfg = ScenarioConfig(dt=1.0, horizon=30.0, max_iters=2, enumerate_paths=draw(st.booleans()))
+    return net, demand, cfg
+
+
+class TestLoaderInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_assignments())
+    def test_loading_through_run_due(self, case):
+        net, demand, cfg = case
+        result = run_due(net, demand, cfg)[0].loading
+        assert result.conservation_violations() == []
+        assert result.unroutable == 0
+
+        rerun = run_due(net, demand, cfg)[0].loading
+        for name in ("U", "V", "Ud", "Vd"):
+            assert np.array_equal(getattr(result, name), getattr(rerun, name)), name
+
+        # the node trace's transfers add up to every link's exit and entry steps
+        n_bins, index = result.grid.n_bins, result.link_index
+        exits = np.zeros((len(result.link_order), n_bins))
+        entries = np.zeros_like(exits)
+        reduced = np.full(len(result.link_order), n_bins)  # first step a node cut the link's exits
+        for node, t_s, in_key, out_key, s_ij, _, _, q_ij in result.node_trace:
+            b = int(round(t_s / cfg.dt))
+            if in_key >= 0:
+                exits[index[in_key], b] += q_ij
+                if q_ij < s_ij:
+                    reduced[index[in_key]] = min(reduced[index[in_key]], b)
+            if out_key >= 0:
+                entries[index[out_key], b] += q_ij
+        scale = max(1.0, float(result.U.max()))
+        assert np.allclose(exits, np.diff(result.V, axis=1), rtol=1e-9, atol=1e-9 * scale)
+        assert np.allclose(entries, np.diff(result.U, axis=1), rtol=1e-9, atol=1e-9 * scale)
+
+        # per-destination FIFO: exits by destination follow the entry order, up
+        # to and including the first step a node reduced the link's exits (see
+        # test_exits_after_a_reduced_step_follow_entry_order for the rest)
+        for l in range(len(result.link_order)):
+            for t in range(reduced[l] + 1):
+                expected = _counts_up_to_rank(result.U[l], result.Ud[l], result.V[l, t], n_bins)
+                assert np.abs(result.Vd[l, :, t] - expected).max() <= 1e-9 * max(1.0, result.U[l, -1])
+
+    @pytest.mark.xfail(strict=True, reason="a node that reduces an in-link's exits scales the "
+                       "composition of its whole sending window, so exits drift from entry order")
+    def test_exits_after_a_reduced_step_follow_entry_order(self):
+        # a 4x4 crossing where a node cuts link 29's exits at step 4; from step
+        # 5 on its exits per destination differ from entry order by 7.4e-4 persons
+        demand = DemandProfile()
+        for origin, dest, rates in [(13, 10, [1.0]), (9, 11, [1.0, 1.0, 1.0, 7.0]),
+                                    (11, 1, [1.0, 1.0, 3.0, 8.0])]:
+            for k, rate in enumerate(rates):
+                demand.add(origin, dest, float(k), rate)
+        net = make_grid_network(4, origins={13, 9, 11}, destinations={10, 11, 1})
+        cfg = ScenarioConfig(dt=1.0, horizon=30.0, max_iters=2)
+        result = run_due(net, demand, cfg)[0].loading
+        l, n_bins = result.link_index[29], result.grid.n_bins
+        for t in range(n_bins + 1):
+            expected = _counts_up_to_rank(result.U[l], result.Ud[l], result.V[l, t], n_bins)
+            assert np.abs(result.Vd[l, :, t] - expected).max() <= 1e-9 * max(1.0, result.U[l, -1])

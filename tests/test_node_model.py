@@ -250,17 +250,20 @@ class TestTurningFractions:
         tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid)
         assert tf.fractions(9, 9, path.link_ids[-1], 19) == [(SINK, 1.0)]
 
+    @staticmethod
+    def one_tree(net, dest, successors):
+        succ = np.full((1, len(net.nodes)), -1)
+        for node, lid in successors.items():
+            succ[0, net.arrays.node_index[node]] = lid
+        return Trees(np.array([0]), np.array([dest]), np.zeros(succ.shape), succ, net.arrays.node_index)
+
     def test_zero_flow_falls_back_to_successor(self):
         net, grid = self.grid_paths()
-        succ = np.full((1, len(net.nodes)), -1)
-        succ[0, net.arrays.node_index[1]] = 1
-        succ[0, net.arrays.node_index[2]] = 5
-        trees = Trees(np.array([0]), np.array([9]), np.zeros(succ.shape), succ, net.arrays.node_index)
-        tf = TurningFractions(grid.n_bins, trees=trees)
+        tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {1: 1, 2: 5}))
         assert tf.fractions(9, 1, ORIGIN, 7) == [(1, 1.0)]
         assert tf.fractions(9, 2, 1, 0) == [(5, 1.0)]
 
     def test_no_route_gives_empty(self):
         net, grid = self.grid_paths()
-        tf = TurningFractions(grid.n_bins)
+        tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}))
         assert tf.fractions(9, 5, ORIGIN, 0) == []
