@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -336,13 +337,18 @@ def _write_matrix(ts: TimeSpaceMatrix, values: np.ndarray, path, network: Networ
         fh.write("\n".join(lines) + "\n")
 
 
+def _row_format(n_values: int):
+    """Bound str.format for one CSV row: a key, then n_values numbers written as _fmt writes them."""
+    return ("{}" + ",{:.10g}" * n_values).format
+
+
 def _write_curves(result, path) -> None:
     dt = result.grid.dt
+    times = [b * dt for b in range(result.grid.n_bins + 1)]
+    row = _row_format(3)
     lines = ["link,t,U,V"]
     for i, lid in enumerate(result.link_order):
-        U, V = result.U[i], result.V[i]
-        for b in range(result.grid.n_bins + 1):
-            lines.append(f"{lid},{_fmt(b * dt)},{_fmt(U[b])},{_fmt(V[b])}")
+        lines += map(row, repeat(lid), times, result.U[i].tolist(), result.V[i].tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -353,13 +359,11 @@ def _write_link_state(cfg: ScenarioConfig, result, path) -> None:
     k, rho = result.densities()
     vhat = effective_speed_profile(arrays.v_f[:, None], rho, cfg.fd_variant, cfg.fd_gamma)
     q = np.diff(result.V, axis=1) / dt / arrays.width[:, None]
+    times = [b * dt for b in range(result.grid.n_bins)]
+    row = _row_format(5)
     lines = ["link,t,k,q,rho,vhat"]
     for i, lid in enumerate(result.link_order):
-        for b in range(result.grid.n_bins):
-            lines.append(
-                f"{lid},{_fmt(b * dt)},{_fmt(k[i, b])},{_fmt(q[i, b])},"
-                f"{_fmt(rho[i, b])},{_fmt(vhat[i, b])}"
-            )
+        lines += map(row, repeat(lid), times, k[i].tolist(), q[i].tolist(), rho[i].tolist(), vhat[i].tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

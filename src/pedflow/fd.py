@@ -142,16 +142,17 @@ def capacity_flow(params: FDParams) -> float:
     return params.v_f * k_c
 
 
-def density_ratio_profile(k: np.ndarray, twin: np.ndarray) -> np.ndarray:
-    """Vectorized density_ratio for every link.
+def density_ratio_profile(k: np.ndarray, twin: np.ndarray, rows=None) -> np.ndarray:
+    """Vectorized density_ratio for every link, or for the links in `rows`.
 
     Rows of k are the links' densities (any trailing time axes); twin[i] is
     the row of link i's opposite direction, -1 for a one-way link, which sees
     no counterflow.
     """
-    paired = (twin >= 0).reshape((-1,) + (1,) * (k.ndim - 1))
-    total = k + np.where(paired, k[twin], 0.0)
-    return np.where(total > 0, k / np.where(total > 0, total, 1.0), 1.0)
+    own, opposite = (k, twin) if rows is None else (k[rows], twin[rows])
+    paired = (opposite >= 0).reshape((-1,) + (1,) * (k.ndim - 1))
+    total = own + np.where(paired, k[opposite], 0.0)
+    return np.where(total > 0, own / np.where(total > 0, total, 1.0), 1.0)
 
 
 def effective_speed_profile(
@@ -160,13 +161,18 @@ def effective_speed_profile(
     variant: str = "logistic",
     gamma: float | None = None,
 ) -> np.ndarray:
-    """Vectorized effective speed for per-link free-flow speeds and ratios."""
+    """Vectorized effective speed for per-link free-flow speeds and ratios.
+
+    A ratio a few ulp below zero (an occupancy that float noise left just
+    below empty) reads as 0 in the power variant, where rho**gamma of a
+    negative ratio would be NaN.
+    """
     rho = np.asarray(rho, dtype=float)
     if variant == "logistic":
         return v_f * np.exp(rho - 1.0)
     if gamma is None:
         raise ValueError("power variant requires gamma")
-    return rho**gamma * v_f
+    return np.maximum(rho, 0.0) ** gamma * v_f
 
 
 def _check_ratio(rho: float) -> None:

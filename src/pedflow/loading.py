@@ -1,21 +1,27 @@
 """Dynamic network loading: multi-destination link transmission over time.
 
-One loading run walks the clock forward once.  Per step it evaluates every
-link's counterflow-degraded speed from current occupancies, the sending and
-receiving bounds from the cumulative curves, and the counterflow reservation
-on every paired link; it then solves a transfer problem at each node that has
-something to move and commits the resulting boundary counts.  Origins hold
-released demand in vertical (point) queues that compete for downstream supply
-like any incoming link; destinations absorb their own trips with unlimited
-supply.
+One loading run walks the clock forward once.  Per step it evaluates, on
+the links entered so far, the counterflow-degraded speed from current
+occupancies and the sending bounds from the cumulative curves; splits every
+sending window by destination in entry order and turns each share by the
+turning fractions; evaluates the receiving bounds and counterflow
+reservations of the outgoing links those movements use; passes whole every
+node whose movements fit its reserved supply and solves a transfer problem at
+the others; and commits the resulting boundary counts.  Origins hold released
+demand in vertical (point) queues that compete for downstream supply like any
+incoming link; destinations absorb their own trips with unlimited supply.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import fd, ltm
-from .nodemodel import ORIGIN, SINK, NodeFlowProblem, TurningFractions, solve_node
+from .nodemodel import ORIGIN, SINK, NodeFlowProblem, TurningFractions, available_supply, solve_node, supply_fits
+
+EPS = 1e-12  # persons: a smaller sending window, queue or share of one moves nobody
 
 
 class LoadingResult:
@@ -130,21 +136,28 @@ def load_network(
     effective_storage: bool = False,
     node_trace: bool = False,
 ) -> LoadingResult:
-    """Propagate the demand through the network under the given turning fractions."""
+    """Propagate the demand through the network under the given turning fractions.
+
+    Each step is one array pass: the link kernels on the links entered so
+    far, one FIFO split of every sending window, one fraction lookup for
+    every (sender, destination) pair, and one transfer of all movements.
+    Only nodes whose movements overfill a reserved supply go to `solve_node`.
+    """
     destinations = demand.destinations()
     n_dest = len(destinations)
     d_index = {d: i for i, d in enumerate(destinations)}
+    dest_ids = np.array(destinations, dtype=int)
     result = LoadingResult(network, grid, destinations)
     result.fd_variant = fd_variant
     result.fd_gamma = fd_gamma
 
     n_bins = grid.n_bins
     dt = grid.dt
-    idx = result.link_index
     arrays = network.arrays
     n_links = len(arrays.order)
-    L, VF, OM, CAP, twin = arrays.length, arrays.v_f, arrays.omega, arrays.capacity, arrays.twin
-    storage_phys = arrays.k_jam * arrays.area
+    link_ids = np.array(arrays.order, dtype=int)
+    in_key_of = np.append(link_ids, ORIGIN)  # sender row n_links is an origin queue
+    L, VF, CAP, twin = arrays.length, arrays.v_f, arrays.capacity, arrays.twin
 
     # demand release schedule: bin -> [(origin node, destination column, persons)]
     schedule: dict[int, list[tuple[int, int, float]]] = {}
@@ -154,96 +167,199 @@ def load_network(
         b = grid.bin_of(e.depart_s)
         schedule.setdefault(b, []).append((e.origin, d_index[e.destination], e.rate * dt))
         result.demanded[d_index[e.destination]] += e.rate * dt
-    queues: dict[int, np.ndarray] = {}
+    # one queue row per origin, in the order of its first release
+    released = [schedule[b] for b in sorted(schedule) if 0 <= b < n_bins]
+    origin_nodes = np.array(list(dict.fromkeys(o for items in released for o, _, _ in items)), dtype=int)
+    queue_row = {o: i for i, o in enumerate(origin_nodes.tolist())}
+    queues = np.zeros((len(origin_nodes), n_dest))
 
     U, V, Ud, Vd = result.U, result.V, result.Ud, result.Vd
-    eps = 1e-12
+    # The rows entered so far (U > 0).  Every other row has U = V = 0 up to
+    # now, which the kernels read as no sending flow and zero density, and
+    # its curves stay at their initial zeros.
+    entered = np.zeros(n_links, dtype=bool)
+    live = np.flatnonzero(entered)
+    slot = np.zeros(n_links, dtype=np.intp)  # position of each live row in `live`
+    k = np.zeros(n_links)  # densities at the start of the step, zero off the live rows
 
     for t in range(n_bins):
         for origin, d, amount in schedule.get(t, ()):
-            queues.setdefault(origin, np.zeros(n_dest))[d] += amount
+            queues[queue_row[origin], d] += amount
 
-        rho = fd.density_ratio_profile((U[:, t] - V[:, t]) / arrays.area, twin)
+        k[live] = (U[live, t] - V[live, t]) / arrays.area[live]
+        rho = fd.density_ratio_profile(k, twin, live)
         with np.errstate(invalid="ignore", divide="ignore"):
-            vhat = fd.effective_speed_profile(VF, rho, fd_variant, fd_gamma)
-            S_all = ltm.sending_flows_at(U, V, t, dt, L, np.maximum(vhat, 1e-15), CAP)
-        S_all[vhat <= 0] = 0.0
-        storage = rho * storage_phys if effective_storage else storage_phys
-        # one entry past the links for the sink: unlimited supply, nothing reserved
-        R_all = np.append(ltm.receiving_flows_at(V, U, t, dt, L, OM, storage, CAP), np.inf)
-        counterflow = np.append(ltm.counterflow_at(U, t, dt, twin, L, VF), 0.0)
+            vhat = fd.effective_speed_profile(VF[live], rho, fd_variant, fd_gamma)
+            S = ltm.sending_flows_at(U, V, t, dt, L[live], np.maximum(vhat, 1e-15), CAP[live], live)
+        S[vhat <= 0] = 0.0
+        snd_node, snd_row, snd_queue, persons = _senders(t, U, V, Ud, live, S, queues, origin_nodes,
+                                                         arrays.to_node, n_links)
+        snd_key = in_key_of[snd_row]
 
-        active = set(arrays.to_node[S_all > eps].tolist()) | {o for o, q in queues.items() if q.sum() > eps}
+        # movements (sender, destination, out key, persons), by sender, destination, out key
+        m_snd, m_d = np.nonzero(persons > EPS)
+        if not m_snd.size:
+            _carry_forward((U, V, Ud, Vd), live, t)
+            continue
+        p = persons[m_snd, m_d]
+        query, m_key, frac = fractions.fractions(dest_ids[m_d], snd_node[m_snd], snd_key[m_snd], t)
+        stuck = np.ones(len(p), dtype=bool)
+        stuck[query] = False
+        for lost in p[stuck & (snd_key[m_snd] != ORIGIN)].tolist():  # queued persons stay queued, not lost
+            result.unroutable += lost
+        moved = frac > 0
+        query, m_key = query[moved], m_key[moved]
+        m_snd, m_d, mass = m_snd[query], m_d[query], p[query] * frac[moved]
+        if not mass.size:
+            _carry_forward((U, V, Ud, Vd), live, t)
+            continue
 
-        dU = np.zeros((n_links, n_dest))
-        dV = np.zeros((n_links, n_dest))
+        step = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effective_storage, result)
+        if node_trace:
+            shown = step.cell_demand > 0
+            snd, col, s_ij = step.cell_sender[shown], step.cell_col[shown], step.cell_demand[shown]
+            result.node_trace += zip(
+                snd_node[snd].tolist(), [t * dt] * len(snd), snd_key[snd].tolist(), step.cell_key[shown].tolist(),
+                s_ij.tolist(), step.supplies[col].tolist(), step.reserved[col].tolist(),
+                (step.theta[snd] * s_ij).tolist(),
+            )
 
-        for node_id in sorted(active):
-            # sending in keys with their persons per destination: the FIFO split
-            # of each in-link, then the origin queue
-            senders = []
-            for lid in network.in_links.get(node_id, ()):
-                i = idx[lid]
-                if S_all[i] > eps:
-                    senders.append((lid, ltm.split_by_entry_order(U[i], Ud[i], V[i, t], V[i, t] + S_all[i], t)))
-            if node_id in queues and queues[node_id].sum() > eps:
-                senders.append((ORIGIN, queues[node_id]))
-            in_keys: list[int] = []
-            moves: list[tuple[int, int, int, float]] = []  # (row, dest column, out key, persons)
-            for in_key, persons in senders:
-                n_moves, row = len(moves), len(in_keys)
-                for d, p in enumerate(persons.tolist()):
-                    if p <= eps:
-                        continue
-                    fracs = fractions.fractions(destinations[d], node_id, in_key, t)
-                    if not fracs and in_key != ORIGIN:  # queued persons stay queued, not lost
-                        result.unroutable += p
-                    for key, frac in fracs:
-                        if frac > 0:
-                            moves.append((row, d, key, p * frac))
-                if len(moves) > n_moves:
-                    in_keys.append(in_key)
-            if not moves:
-                continue
+        # commits, each accumulator in movement order
+        flow = step.theta[m_snd] * mass
+        positive = flow > 0
+        m_snd, m_d, m_key, flow = m_snd[positive], m_d[positive], m_key[positive], flow[positive]
+        to_sink, src_row = m_key == SINK, snd_row[m_snd]
+        from_queue = src_row == n_links
+        np.add.at(result.completed, m_d[to_sink], flow[to_sink])
+        np.subtract.at(queues, (snd_queue[m_snd[from_queue]], m_d[from_queue]), flow[from_queue])
+        np.add.at(result.loaded, m_d[from_queue], flow[from_queue])
+        np.clip(queues, 0.0, None, out=queues)
+        dst_row = np.searchsorted(link_ids, m_key[~to_sink])
+        if not entered[dst_row].all():
+            entered[dst_row] = True
+            live = np.flatnonzero(entered)
+            slot[live] = np.arange(len(live))
+        # per-(row, destination) sums in movement order, as the cells were added one by one
+        cells = len(live) * n_dest
+        dU = np.bincount(slot[dst_row] * n_dest + m_d[~to_sink], flow[~to_sink], cells).reshape(len(live), n_dest)
+        dV = np.bincount(slot[src_row[~from_queue]] * n_dest + m_d[~from_queue], flow[~from_queue],
+                         cells).reshape(len(live), n_dest)
+        Ud[live, :, t + 1] = Ud[live, :, t] + dU
+        Vd[live, :, t + 1] = Vd[live, :, t] + dV
+        U[live, t + 1] = U[live, t] + dU.sum(axis=1)
+        V[live, t + 1] = V[live, t] + dV.sum(axis=1)
 
-            # columns: the used out keys in ascending order, the sink last
-            keys = sorted({m[2] for m in moves}, key=lambda key: (key == SINK, key))
-            col = {key: c for c, key in enumerate(keys)}
-            demands = np.zeros((len(in_keys), len(keys)))
-            for r, d, out_key, mass in moves:
-                demands[r, col[out_key]] += mass
-            out_rows = [idx.get(key, n_links) for key in keys]  # the sink reads the entry past the links
-            supplies, reserved = R_all.take(out_rows), counterflow.take(out_rows)
-            sol = solve_node(NodeFlowProblem(demands, supplies, reserved))
-            result.supply_clamps += len(sol.clamped)
-
-            theta = sol.reductions.tolist()
-            for r, d, out_key, mass in moves:
-                flow = theta[r] * mass
-                if flow <= 0:
-                    continue
-                if out_key == SINK:
-                    result.completed[d] += flow
-                else:
-                    dU[idx[out_key], d] += flow
-                if in_keys[r] == ORIGIN:
-                    queues[node_id][d] -= flow
-                    result.loaded[d] += flow
-                else:
-                    dV[idx[in_keys[r]], d] += flow
-            if node_trace:
-                order = sorted(range(len(keys)), key=keys.__getitem__)  # ascending: the sink first
-                for in_key, s_row, theta_r in zip(in_keys, demands.tolist(), theta):
-                    result.node_trace += [(node_id, t * dt, in_key, keys[c], s_row[c], supplies[c], reserved[c],
-                                           theta_r * s_row[c]) for c in order if s_row[c] > 0]
-
-        for q in queues.values():
-            np.clip(q, 0.0, None, out=q)
-        Ud[:, :, t + 1] = Ud[:, :, t] + dU
-        Vd[:, :, t + 1] = Vd[:, :, t] + dV
-        U[:, t + 1] = U[:, t] + dU.sum(axis=1)
-        V[:, t + 1] = V[:, t] + dV.sum(axis=1)
-
-    for q in queues.values():
+    for q in queues:
         result.queued += q
     return result
+
+
+def _carry_forward(curves, live, t) -> None:
+    """A step without transfers: every live row keeps its counts (x + 0.0 == x
+    on these nonnegative sums)."""
+    for curve in curves:
+        curve[live, ..., t + 1] = curve[live, ..., t]
+
+
+def _senders(t, U, V, Ud, live, S, queues, origin_nodes, to_node, n_links):
+    """The step's senders by node ascending: each node's sending in-links in
+    row order, then its origin queue if it holds anyone.
+
+    Returns per sender its node, its row (n_links for an origin), its queue
+    row (-1 for a link) and its persons per destination: the FIFO split of
+    the link's sending window, or the whole queue.
+    """
+    sending = S > EPS
+    link_rows, queued = live[sending], np.flatnonzero(queues.sum(axis=1) > EPS)
+    persons = [queues[queued]]
+    if link_rows.size:
+        r0 = V[link_rows, t]
+        persons.insert(0, ltm.split_by_entry_order(U, Ud, r0, r0 + S[sending], t, link_rows))
+    node = np.concatenate((to_node[link_rows], origin_nodes[queued]))
+    row = np.concatenate((link_rows, np.full(len(queued), n_links)))
+    queue = np.concatenate((np.full(len(link_rows), -1), queued))
+    order = np.lexsort((row, node))
+    return node[order], row[order], queue[order], np.concatenate(persons)[order]
+
+
+def _group(*keys):
+    """Number the distinct key tuples in np.lexsort order (the last key
+    major); returns each element's number and the first element of each."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return number, order[new]
+
+
+class _NodeStep(NamedTuple):
+    """One step's node transfers.  A cell is one (sender, out key) pair, in
+    sender then out key order; columns are the (node, out key) pairs."""
+
+    theta: np.ndarray  # reduction factor per sender
+    cell_sender: np.ndarray
+    cell_key: np.ndarray
+    cell_demand: np.ndarray
+    cell_col: np.ndarray
+    supplies: np.ndarray  # per column
+    reserved: np.ndarray  # per column
+
+
+def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effective_storage, result) -> _NodeStep:
+    """Node transfers of one step's movements (sender, out key, persons).
+
+    A node's demand matrix has its senders as rows and its used out keys,
+    ascending with the sink last, as columns.  Nodes whose column loads fit
+    their available supply pass every movement whole; only the rest go to
+    `solve_node`.  Counts every node's supply clamps into result.
+    """
+    cell_of_move, first = _group(m_key, m_snd)
+    cell_snd, cell_key = m_snd[first], m_key[first]
+    cell_S = np.bincount(cell_of_move, mass)  # in movement order, as the cells were filled one by one
+    cell_node = snd_node[cell_snd]
+    cell_col, first = _group(np.where(cell_key == SINK, np.iinfo(np.int64).max, cell_key), cell_node)
+    col_node, col_key = cell_node[first], cell_key[first]
+    col_load = np.bincount(cell_col, cell_S)  # down each column in row order, as S.sum(axis=0)
+
+    # one entry per column: the sink takes everything, nothing reserved
+    supplies, reserved = np.full(len(col_key), np.inf), np.zeros(len(col_key))
+    out = np.flatnonzero(col_key != SINK)
+    if out.size:
+        rows = np.searchsorted(link_ids, col_key[out])
+        storage = arrays.k_jam[rows] * arrays.area[rows]
+        if effective_storage:
+            storage = fd.density_ratio_profile(k, arrays.twin, rows) * storage
+        supplies[out] = ltm.receiving_flows_at(V, U, t, result.grid.dt, arrays.length[rows], arrays.omega[rows],
+                                               storage, arrays.capacity[rows], rows)
+        reserved[out] = ltm.counterflow_at(U, t, result.grid.dt, arrays.twin, arrays.length, arrays.v_f, rows)
+    available, clamped = available_supply(supplies, reserved)
+    result.supply_clamps += int(clamped.sum())
+
+    # cells, columns and senders with cells each run node by node, in the same node order
+    node_first = np.flatnonzero(np.append(True, col_node[1:] != col_node[:-1]))
+    n_cols = np.diff(np.append(node_first, len(col_node)))
+    scale = np.maximum(1.0, np.maximum.reduceat(col_load, node_first))
+    fits = np.logical_and.reduceat(supply_fits(col_load, available, np.repeat(scale, n_cols)), node_first)
+
+    theta = np.ones(len(snd_node))
+    if not fits.all():
+        new_sender = np.append(True, cell_snd[1:] != cell_snd[:-1])
+        senders = cell_snd[new_sender]
+        cell_first = np.flatnonzero(np.append(True, cell_node[1:] != cell_node[:-1]))
+        sender_first = np.flatnonzero(np.append(True, snd_node[senders[1:]] != snd_node[senders[:-1]]))
+        node = np.repeat(np.arange(len(cell_first)), np.diff(np.append(cell_first, len(cell_node))))
+        cell_row = np.cumsum(new_sender) - 1 - sender_first[node]  # row in its node's demand matrix
+        cell_local_col = cell_col - node_first[node]  # column in its node's demand matrix
+        bounds = [b.tolist() for b in (cell_first, np.append(cell_first[1:], len(cell_node)), sender_first,
+                                       np.append(sender_first[1:], len(senders)), node_first, n_cols)]
+        for i in np.flatnonzero(~fits).tolist():
+            c0, c1, s0, s1, j, n = (b[i] for b in bounds)
+            demands = np.zeros((s1 - s0, n))
+            demands[cell_row[c0:c1], cell_local_col[c0:c1]] = cell_S[c0:c1]
+            problem = NodeFlowProblem(demands, supplies[j:j + n], reserved[j:j + n])
+            theta[senders[s0:s1]] = solve_node(problem).reductions
+    return _NodeStep(theta, cell_snd, cell_key, cell_S, cell_col, supplies, reserved)

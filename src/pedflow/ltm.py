@@ -32,62 +32,73 @@ def interp_at(arr: np.ndarray, tau: np.ndarray, dt: float, rows: np.ndarray | No
     return arr[rows, idx] * (1.0 - frac) + arr[rows, idx + 1] * frac
 
 
-def sending_flows_at(U, V, t, dt, lengths, vhat, caps):
-    """Sending flows of all links for the step starting at bin t (persons)."""
+def sending_flows_at(U, V, t, dt, lengths, vhat, caps, rows=None):
+    """Sending flows for the step starting at bin t (persons), of every link or of `rows`.
+
+    lengths, vhat and caps hold one entry per returned flow.
+    """
     tau = (t + 1) * dt - lengths / vhat
-    boundary = interp_at(U, tau, dt) - V[:, t]
+    boundary = interp_at(U, tau, dt, rows) - (V[:, t] if rows is None else V[rows, t])
     return np.clip(np.minimum(boundary, caps * dt), 0.0, None)
 
 
-def receiving_flows_at(V, U, t, dt, lengths, omegas, storage, caps):
-    """Receiving flows of all links for the step starting at bin t (persons)."""
+def receiving_flows_at(V, U, t, dt, lengths, omegas, storage, caps, rows=None):
+    """Receiving flows for the step starting at bin t (persons), of every link or of `rows`.
+
+    lengths, omegas, storage and caps hold one entry per returned flow.
+    """
     tau = (t + 1) * dt - lengths / omegas
-    boundary = interp_at(V, tau, dt) + storage - U[:, t]
+    boundary = interp_at(V, tau, dt, rows) + storage - (U[:, t] if rows is None else U[rows, t])
     return np.clip(np.minimum(boundary, caps * dt), 0.0, None)
 
 
-def counterflow_at(U, t, dt, twin, lengths, v_f):
-    """Counterflow reservations of all links for the step starting at bin t (persons).
+def counterflow_at(U, t, dt, twin, lengths, v_f, rows=None):
+    """Counterflow reservations for the step starting at bin t (persons), of every link or of `rows`.
 
     Link i reserves the pedestrians who entered its twin (row twin[i]) within
     the one-step window that, at the twin's free-flow pace over the shared
     length, puts them at link i's entry node during the step.  One-way links
-    (twin -1) reserve nothing.
+    (twin -1) reserve nothing.  twin, lengths and v_f hold every link.
     """
-    out = np.zeros(len(twin))
-    paired = np.flatnonzero(twin >= 0)
+    rows = np.arange(len(twin)) if rows is None else np.asarray(rows)
+    out = np.zeros(len(rows))
+    paired = np.flatnonzero(twin[rows] >= 0)
     if paired.size:
-        rows = twin[paired]
-        shift = lengths[paired] / v_f[rows]
-        hi = interp_at(U, (t + 1) * dt - shift, dt, rows=rows)
-        lo = interp_at(U, t * dt - shift, dt, rows=rows)
+        links = rows[paired]
+        opposite = twin[links]
+        shift = lengths[links] / v_f[opposite]
+        hi = interp_at(U, (t + 1) * dt - shift, dt, rows=opposite)
+        lo = interp_at(U, t * dt - shift, dt, rows=opposite)
         out[paired] = np.maximum(hi - lo, 0.0)
     return out
 
 
-def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0: float, r1: float, t: int) -> np.ndarray:
-    """Destination composition of the pedestrians ranked (r0, r1] on a link.
+def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=None) -> np.ndarray:
+    """Destination composition of the pedestrians ranked (r0[i], r1[i]] on link rows[i].
 
-    Ranks are positions on the upstream cumulative curve; the split follows
-    entry order, which is what keeps exits first-in-first-out.  Returns the
-    per-destination counts, scaled to sum exactly to r1 - r0.
+    U holds the links' upstream curves (n, n_bins + 1) and Ud their
+    per-destination split (n, n_dest, n_bins + 1); `rows` picks the row of
+    each window (every row in order by default).  Ranks are positions on the
+    upstream cumulative curve; the split follows entry order, which is what
+    keeps exits first-in-first-out.  Returns (windows, n_dest) counts, each
+    row scaled to sum exactly to r1 - r0, or zeros where the window or the
+    composition found in it is empty.
     """
+    r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
     amount = r1 - r0
-    if amount <= 0:
-        return np.zeros(Ud.shape[0])
-    w1 = _counts_up_to_rank(U, Ud, r1, t)
-    w0 = _counts_up_to_rank(U, Ud, r0, t)
-    split = np.clip(w1 - w0, 0.0, None)
-    total = split.sum()
-    if total <= 0:
-        return np.zeros(Ud.shape[0])
-    return split * (amount / total)
+    split = np.clip(_counts_up_to_rank(U, Ud, r1, t, rows) - _counts_up_to_rank(U, Ud, r0, t, rows), 0.0, None)
+    total = split.sum(axis=1)
+    ok = (amount > 0) & (total > 0)
+    scale = amount / np.where(ok, total, 1.0)
+    return np.where(ok[:, None], split * scale[:, None], 0.0)
 
 
-def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank: float, t: int) -> np.ndarray:
-    """Per-destination entries among the first `rank` entrants (interpolated)."""
-    b, frac = _rank_position(U[: t + 1], rank)
-    return Ud[:, b] * (1.0 - frac) + Ud[:, b + 1] * frac
+def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank, t: int, rows=None) -> np.ndarray:
+    """Per-destination entries among the first rank[i] entrants of row rows[i] (interpolated)."""
+    rows = np.arange(U.shape[0]) if rows is None else np.asarray(rows)
+    b, frac = _rank_positions(U[rows, : t + 1], np.asarray(rank, dtype=float))
+    frac = frac[:, None]
+    return Ud[rows, :, b] * (1.0 - frac) + Ud[rows, :, b + 1] * frac
 
 
 def crossing_time(arr: np.ndarray, rank: float, dt: float, n_valid: int) -> float | None:
@@ -113,3 +124,20 @@ def _rank_position(head: np.ndarray, rank: float) -> tuple[int, float]:
         return 0, 0.0
     denom = head[idx] - head[idx - 1]
     return idx - 1, (rank - head[idx - 1]) / denom if denom > 0 else 0.0
+
+
+def _rank_positions(head: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_rank_position` of every row: head[i] and rank[i] for each i at once.
+
+    On a nondecreasing row the samples below the rank are a prefix, so their
+    count is the searchsorted position.  (The scalar form stays for the one-rank
+    callers, whose call costs a fifth of this one's.)"""
+    rank = np.minimum(rank, head[:, -1])
+    idx = (head < rank[:, None]).sum(axis=1)
+    below = np.maximum(idx - 1, 0)
+    rows = np.arange(head.shape[0])
+    lo = head[rows, below]
+    denom = head[rows, idx] - lo
+    moving = (idx > 0) & (denom > 0)
+    frac = np.where(moving, (rank - lo) / np.where(moving, denom, 1.0), 0.0)
+    return below, frac

@@ -87,13 +87,11 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     """
     S = problem.demands
     n_in, n_out = S.shape
-    available = problem.supplies - problem.counterflow
-    clamped = tuple(int(j) for j in np.where(available < -1e-12)[0])
-    available = np.maximum(available, 0.0)
+    available, clamped = available_supply(problem.supplies, problem.counterflow)
+    clamped = tuple(np.flatnonzero(clamped).tolist())
 
     col_load = S.sum(axis=0)
-    scale = max(1.0, float(col_load.max(initial=0.0)))
-    if np.all(col_load <= available + 1e-12 * scale):
+    if supply_fits(col_load, available, max(1.0, float(col_load.max(initial=0.0)))).all():
         return NodeFlowSolution(S.copy(), np.ones(n_in), clamped)
 
     q_fair, theta_fair = _equal_priority_shares(S, available)
@@ -101,6 +99,18 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     if q_fair.sum() >= q_max.sum() - 1e-9 * max(1.0, q_max.sum()):
         return NodeFlowSolution(q_fair, theta_fair, clamped)
     return NodeFlowSolution(q_max, theta_max, clamped)
+
+
+def available_supply(supplies: np.ndarray, counterflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(supply left after the reservation, clamped at zero; where it was negative)."""
+    available = supplies - counterflow
+    return np.maximum(available, 0.0), available < -1e-12
+
+
+def supply_fits(col_load: np.ndarray, available: np.ndarray, scale) -> np.ndarray:
+    """Whether each outgoing link's load fits its available supply, within
+    1e-12 of its node's scale, max(1, the node's largest load)."""
+    return col_load <= available + 1e-12 * scale
 
 
 def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
@@ -225,6 +235,7 @@ class TurningFractions:
             cols = order[trees.destinations[order] == dest]
             pos = np.searchsorted(trees.bins[cols], np.arange(n_bins), side="right") - 1
             self._columns[dest] = cols[np.maximum(pos, 0)].tolist()
+        self._table: _FractionTable | None = None
 
     @property
     def destinations(self) -> list[int]:
@@ -236,25 +247,96 @@ class TurningFractions:
         if arr is None:
             arr = outs[out_key] = np.zeros(self.n_bins)
         arr[min(t_idx, self.n_bins - 1)] += mass
+        self._table = None
 
-    def fractions(self, dest: int, node: int, in_key: int, t_idx: int) -> list[tuple[int, float]]:
-        """Normalized split [(out_key, fraction), ...] for one incoming link.
+    def fractions(self, dests, nodes, in_keys, t_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalized splits of many incoming links at one instant, as flat arrays.
 
-        The movement mass at this instant decides; without any, residual
-        pedestrians follow the shortest-path successor.  Empty only where the
+        Query i asks for the split toward dests[i] of what reaches nodes[i]
+        through in_keys[i].  Returns (query, out_keys, fractions): one entry
+        per (query, out key) pair, queries ascending, each query's out keys
+        ascending.  At its destination a query sinks; elsewhere the movement
+        mass at this instant decides (out keys with mass, each over the total
+        summed in insertion order); without any, residual pedestrians follow
+        the shortest-path successor.  A query gets no entry only where its
         destination cannot be reached from the node (or has no tree column).
         """
-        if node == dest:
-            return [(SINK, 1.0)]
+        table = self._table if self._table is not None else self._build()
         t = min(t_idx, self.n_bins - 1)
-        outs = self.movements.get((dest, node, in_key))
-        if outs is not None:
-            total = sum(arr[t] for arr in outs.values())
-            if total > 1e-15:
-                return [(key, arr[t] / total) for key, arr in sorted(outs.items()) if arr[t] > 0]
-        cols = self._columns.get(dest)
-        lid = -1 if cols is None else int(self.trees.succ[cols[t], self.trees.node_index[node]])
-        return [(lid, 1.0)] if lid >= 0 else []
+        dests, nodes, in_keys = (np.asarray(a, dtype=int) for a in (dests, nodes, in_keys))
+        get = table.groups.get
+        group = np.array([get(key, -1) for key in zip(dests.tolist(), nodes.tolist(), in_keys.tolist())],
+                         dtype=np.intp)
+        sinks = np.flatnonzero(dests == nodes)
+        group[sinks] = -1
+
+        # queries with movement mass at t: every movement of the group with mass, over the group total
+        routed = np.flatnonzero(group >= 0)
+        total = table.totals[group[routed], t]
+        routed, total = routed[total > 1e-15], total[total > 1e-15]
+        first, count = table.first[group[routed]], table.count[group[routed]]
+        moves = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        mass = table.mass[moves, t]
+        moved = mass > 0
+        by_mass, keys = np.repeat(routed, count)[moved], table.out_key[moves[moved]]
+        fracs = (mass / np.repeat(total, count))[moved]
+
+        # the rest follow the successor, where there is one
+        rest = np.ones(len(dests), dtype=bool)
+        rest[sinks] = False
+        rest[routed] = False
+        rest = np.flatnonzero(rest)
+        succ = table.successor(dests[rest], nodes[rest], t)
+        rest, succ = rest[succ >= 0], succ[succ >= 0]
+
+        query = np.concatenate((sinks, by_mass, rest))
+        order = np.argsort(query, kind="stable")
+        out_keys = np.concatenate((np.full(len(sinks), SINK), keys, succ))
+        fracs = np.concatenate((np.ones(len(sinks)), fracs, np.ones(len(rest))))
+        return query[order], out_keys[order], fracs[order]
+
+    def _build(self) -> "_FractionTable":
+        self._table = _FractionTable(self.movements, self._columns, self.trees, self.n_bins)
+        return self._table
+
+
+class _FractionTable:
+    """`TurningFractions` as dense arrays, built once per instance.
+
+    groups numbers the (dest, node, in_key) keys of the movements in
+    insertion order.  Group g's movements are rows first[g] to
+    first[g] + count[g] of mass (movement, bin), in ascending out key order;
+    totals (group, bin) sums them in insertion order.  tree_cols holds each
+    destination's tree column per bin (row tree_row[dest]).
+    """
+
+    def __init__(self, movements, columns, trees, n_bins):
+        self.groups = {key: g for g, key in enumerate(movements)}
+        self.totals = np.zeros((len(movements), n_bins))
+        self.count = np.array([len(outs) for outs in movements.values()], dtype=np.intp)
+        self.first = np.cumsum(self.count) - self.count
+        mass, out_key = [], []
+        for g, outs in enumerate(movements.values()):
+            for arr in outs.values():
+                self.totals[g] += arr
+            for key in sorted(outs):
+                mass.append(outs[key])
+                out_key.append(key)
+        self.mass = np.array(mass).reshape(len(mass), n_bins)
+        self.out_key = np.array(out_key, dtype=int)
+        self.tree_row = {dest: i for i, dest in enumerate(columns)}
+        self.tree_cols = np.array(list(columns.values()), dtype=np.intp).reshape(len(columns), n_bins)
+        self.succ, self.node_index = trees.succ, trees.node_index
+
+    def successor(self, dests, nodes, t):
+        """Successor link of each (dest, node) in the dest's tree column at bin t, -1 where none."""
+        rows = np.array([self.tree_row.get(d, -1) for d in dests.tolist()], dtype=np.intp)
+        out = np.full(len(dests), -1)
+        has = np.flatnonzero(rows >= 0)
+        if has.size:
+            at = [self.node_index[n] for n in nodes[has].tolist()]
+            out[has] = self.succ[self.tree_cols[rows[has], t], at]
+        return out
 
 
 def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None) -> TurningFractions:

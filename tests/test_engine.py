@@ -7,6 +7,8 @@ from pedflow.config import LinkPenalty, ScenarioConfig
 from pedflow.engine import (
     SimulationInputError,
     TimeSpaceMatrix,
+    _fmt,
+    _row_format,
     build_time_space,
     detect_shockwaves,
     export_time_space,
@@ -81,6 +83,23 @@ class TestRunScenario:
         )
         with pytest.raises(SimulationInputError, match="missing link"):
             run_scenario(bad, net, demand, tmp_path / "x")
+
+
+class TestRowFormat:
+    EDGES = [-0.0, 5e-324, 1e21, float("nan"), float("inf"), -float("inf"), 0.1, 1.0 / 3.0, 123456789012.5]
+
+    def test_matches_fmt_on_edge_values(self):
+        # the curve and link-state writers format whole rows at once; each
+        # number must read as _fmt writes it, from Python or numpy floats
+        row = _row_format(len(self.EDGES))
+        expected = "7," + ",".join(_fmt(v) for v in self.EDGES)
+        assert row(7, *self.EDGES) == expected
+        assert row(7, *np.array(self.EDGES).tolist()) == expected
+        assert ",".join(_fmt(v) for v in np.array(self.EDGES)) == expected[2:]
+
+    def test_one_value_per_field(self):
+        for v in self.EDGES:
+            assert _row_format(1)(12, v) == f"12,{_fmt(v)}"
 
 
 class TestTimeSpaceExport:

@@ -11,6 +11,7 @@ from pedflow.fd import (
     density_ratio,
     effective_jam_density,
     effective_speed,
+    effective_speed_profile,
     flow,
 )
 
@@ -62,6 +63,13 @@ class TestEffectiveSpeed:
         params = FDParams(v_f=1.5, omega=0.5, k_jam=5.4, variant="power", gamma=0.0)
         with pytest.warns(RuntimeWarning):
             assert effective_speed(params, 0.0) == 1.5
+
+    def test_profile_reads_noise_below_zero_as_empty(self):
+        # an occupancy a few ulp below zero gives a ratio like -8.8e-16; the
+        # power variant must read it as 0, not as NaN
+        rho = np.array([-8.8e-16, 0.0, 0.25, 1.0])
+        got = effective_speed_profile(1.5, rho, "power", 0.5)
+        assert got.tolist() == [0.0, 0.0, 0.75, 1.5]
 
     def test_monotone_in_ratio_both_variants(self):
         ratios = np.linspace(0.0, 1.0, 101)

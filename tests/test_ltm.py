@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedflow.ltm import (
+    _rank_position,
+    _rank_positions,
     crossing_time,
     interp_at,
     receiving_flows_at,
@@ -118,14 +122,19 @@ class TestReceivingFlow:
         assert receiving(link, curves, 0, k_jam=5.0) == pytest.approx(10.0)
 
 
+def split_one(U, Ud, r0, r1, t):
+    """split_by_entry_order on one link's curves (U: (n_bins + 1,), Ud: (n_dest, n_bins + 1))."""
+    return split_by_entry_order(U[None, :], Ud[None, :, :], [r0], [r1], t)[0]
+
+
 class TestEntryOrderSplit:
     def test_known_composition(self):
         # bin 0 loads one person to the first destination, bin 1 one to the second
         U = np.array([0.0, 1.0, 2.0, 2.0])
         Ud = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-        split = split_by_entry_order(U, Ud, 0.5, 1.5, 3)
+        split = split_one(U, Ud, 0.5, 1.5, 3)
         assert split == pytest.approx([0.5, 0.5])
-        split = split_by_entry_order(U, Ud, 0.0, 1.0, 3)
+        split = split_one(U, Ud, 0.0, 1.0, 3)
         assert split == pytest.approx([1.0, 0.0])
 
     def test_split_sums_to_requested_amount(self):
@@ -137,9 +146,33 @@ class TestEntryOrderSplit:
         Ud[0, 1:] = np.cumsum(inc * shares)
         Ud[1, 1:] = np.cumsum(inc * (1 - shares))
         r0, r1 = 1.7, 9.3
-        split = split_by_entry_order(U, Ud, r0, r1, 12)
+        split = split_one(U, Ud, r0, r1, 12)
         assert split.sum() == pytest.approx(r1 - r0, abs=1e-12)
         assert (split >= 0).all()
+
+
+@st.composite
+def curves_and_ranks(draw):
+    """Nondecreasing rows with plateaus, and ranks below, on, between and above their samples."""
+    n_rows, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    steps = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=n - 1, max_size=n - 1)
+    head = np.array([np.concatenate(([0.0], np.cumsum(draw(steps)))) for _ in range(n_rows)])
+    ranks = []
+    for row in head:
+        on_sample = st.sampled_from(row.tolist())
+        ranks.append(draw(st.one_of(on_sample, st.floats(-1.0, float(row[-1]) + 1.0))))
+    return head, np.array(ranks)
+
+
+class TestRankPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(curves_and_ranks())
+    def test_rows_match_the_scalar_search(self, case):
+        # counting the samples below the rank finds what searchsorted finds
+        head, ranks = case
+        b, frac = _rank_positions(head, ranks)
+        for i in range(len(head)):
+            assert (int(b[i]), float(frac[i])) == _rank_position(head[i], float(ranks[i]))
 
 
 class TestCrossingTime:

@@ -208,6 +208,13 @@ class TestLookAhead:
         assert reservation(net, 1, U, 1) == pytest.approx(expected, abs=1e-12)
 
 
+def lookup(tf, dest, node, in_key, t):
+    """One query of the array-form TurningFractions.fractions, as [(out_key, fraction), ...]."""
+    query, out_keys, fracs = tf.fractions([dest], [node], [in_key], t)
+    assert (query == 0).all()
+    return list(zip(out_keys.tolist(), fracs.tolist()))
+
+
 class TestTurningFractions:
     def grid_paths(self):
         net = make_grid_network(3, origins={1, 8}, destinations={9, 4})
@@ -231,16 +238,16 @@ class TestTurningFractions:
         tf = paths_to_turning_fractions([(path, 0, 2.0)], net, grid)
         first_link = path.link_ids[0]
         second_link = path.link_ids[1]
-        assert tf.fractions(9, 1, ORIGIN, 0) == [(first_link, 1.0)]
+        assert lookup(tf, 9, 1, ORIGIN, 0) == [(first_link, 1.0)]
         k_at_2 = int(net.links[first_link].free_flow_time)  # arrival bin at node 2
-        assert tf.fractions(9, 2, first_link, k_at_2) == [(second_link, 1.0)]
+        assert lookup(tf, 9, 2, first_link, k_at_2) == [(second_link, 1.0)]
 
     def test_equal_split_at_diverge(self):
         net, grid = self.grid_paths()
         p1 = net.path_from_nodes((1, 2, 3, 6, 9))
         p2 = net.path_from_nodes((1, 4, 7, 8, 9))
         tf = paths_to_turning_fractions([(p1, 0, 1.5), (p2, 0, 1.5)], net, grid)
-        fracs = dict(tf.fractions(9, 1, ORIGIN, 0))
+        fracs = dict(lookup(tf, 9, 1, ORIGIN, 0))
         assert fracs[p1.link_ids[0]] == pytest.approx(0.5)
         assert fracs[p2.link_ids[0]] == pytest.approx(0.5)
 
@@ -248,7 +255,7 @@ class TestTurningFractions:
         net, grid = self.grid_paths()
         path = net.path_from_nodes((1, 2, 3, 6, 9))
         tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid)
-        assert tf.fractions(9, 9, path.link_ids[-1], 19) == [(SINK, 1.0)]
+        assert lookup(tf, 9, 9, path.link_ids[-1], 19) == [(SINK, 1.0)]
 
     @staticmethod
     def one_tree(net, dest, successors):
@@ -260,10 +267,10 @@ class TestTurningFractions:
     def test_zero_flow_falls_back_to_successor(self):
         net, grid = self.grid_paths()
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {1: 1, 2: 5}))
-        assert tf.fractions(9, 1, ORIGIN, 7) == [(1, 1.0)]
-        assert tf.fractions(9, 2, 1, 0) == [(5, 1.0)]
+        assert lookup(tf, 9, 1, ORIGIN, 7) == [(1, 1.0)]
+        assert lookup(tf, 9, 2, 1, 0) == [(5, 1.0)]
 
     def test_no_route_gives_empty(self):
         net, grid = self.grid_paths()
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}))
-        assert tf.fractions(9, 5, ORIGIN, 0) == []
+        assert lookup(tf, 9, 5, ORIGIN, 0) == []
