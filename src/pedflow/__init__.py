@@ -51,7 +51,7 @@ from .nodemodel import (
     paths_to_turning_fractions,
     solve_node,
 )
-from .pvdf import PvdfParams, experienced_route_time, instantaneous_route_time, link_cost
+from .pvdf import PvdfParams, experienced_route_times, instantaneous_route_time, link_cost
 from .scenarios import generate_corridor_scenario, generate_grid_scenario
 
 __version__ = "0.1.0"

@@ -224,6 +224,7 @@ def run_due(network: Network, demand, cfg, loader=None):
         update_flows(state, aon, n)
 
         fractions = paths_to_turning_fractions(state.path_flow_items(), network, grid, costs, trees)
+        state.loading = result = None  # let the previous loading go before the next one is built
         result = loader(network, grid, demand, fractions, state)
         new_costs = costs_from_loading(network, grid, result, cfg.pvdf, penalties)
         if not np.isfinite(new_costs).all():

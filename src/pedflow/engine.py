@@ -346,11 +346,10 @@ def _write_curves(result, path) -> None:
     dt = result.grid.dt
     times = [b * dt for b in range(result.grid.n_bins + 1)]
     row = _row_format(3)
-    lines = ["link,t,U,V"]
-    for i, lid in enumerate(result.link_order):
-        lines += map(row, repeat(lid), times, result.U[i].tolist(), result.V[i].tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("link,t,U,V\n")
+        for i, lid in enumerate(result.link_order):  # a link at a time, so the whole file is never held
+            fh.write("\n".join(map(row, repeat(lid), times, result.U[i].tolist(), result.V[i].tolist())) + "\n")
 
 
 def _write_link_state(cfg: ScenarioConfig, result, path) -> None:
@@ -361,11 +360,11 @@ def _write_link_state(cfg: ScenarioConfig, result, path) -> None:
     q = np.diff(result.V, axis=1) / dt / arrays.width[:, None]
     times = [b * dt for b in range(result.grid.n_bins)]
     row = _row_format(5)
-    lines = ["link,t,k,q,rho,vhat"]
-    for i, lid in enumerate(result.link_order):
-        lines += map(row, repeat(lid), times, k[i].tolist(), q[i].tolist(), rho[i].tolist(), vhat[i].tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("link,t,k,q,rho,vhat\n")
+        for i, lid in enumerate(result.link_order):  # a link at a time, so the whole file is never held
+            rows = map(row, repeat(lid), times, k[i].tolist(), q[i].tolist(), rho[i].tolist(), vhat[i].tolist())
+            fh.write("\n".join(rows) + "\n")
 
 
 def _write_node_trace(result, path) -> None:
@@ -405,18 +404,16 @@ def _write_gap(report, path) -> None:
 
 
 def _write_route_times(cfg: ScenarioConfig, state, result, path) -> None:
+    dt = state.grid.dt
+    trips = [(od, row, pos, k) for od in state.ods for row in range(len(state.paths[od]))
+             for pos, k in enumerate(state.k_bins[od])]
+    experienced = pvdf.experienced_route_times([state.link_rows[od][row] for od, row, _, _ in trips],
+                                               [k * dt for *_, k in trips], result.fd_travel_times, cfg.horizon)
     lines = ["origin,destination,path_id,depart_s,instantaneous_s,experienced_s"]
-    for od in state.ods:
+    for (od, row, pos, k), exp in zip(trips, experienced.tolist()):
         pt = state.path_times.get(od)
-        for row, p in enumerate(state.paths[od]):
-            for pos, k in enumerate(state.k_bins[od]):
-                inst = pt[row, pos] if pt is not None else float("nan")
-                exp = pvdf.experienced_route_time(
-                    p, result.fd_travel_time, k * state.grid.dt, horizon=cfg.horizon
-                )
-                exp_label = "incomplete" if exp is None else _fmt(exp)
-                lines.append(
-                    f"{od[0]},{od[1]},{row},{_fmt(k * state.grid.dt)},{_fmt(inst)},{exp_label}"
-                )
+        inst = pt[row, pos] if pt is not None else float("nan")
+        exp_label = "incomplete" if math.isnan(exp) else _fmt(exp)
+        lines.append(f"{od[0]},{od[1]},{row},{_fmt(k * dt)},{_fmt(inst)},{exp_label}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

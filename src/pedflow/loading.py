@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fd, ltm
-from .nodemodel import ORIGIN, SINK, NodeFlowProblem, TurningFractions, available_supply, solve_node, supply_fits
+from .nodemodel import (ORIGIN, SINK, NodeFlowProblem, TurningFractions, _group, available_supply, solve_node,
+                        supply_fits)
 
 EPS = 1e-12  # persons: a smaller sending window, queue or share of one moves nobody
 
@@ -72,28 +73,26 @@ class LoadingResult:
             self._densities = (k, fd.density_ratio_profile(k, arrays.twin))
         return self._densities
 
-    def fd_travel_time(self, link_id: int, t_s: float) -> float | None:
-        """Traversal time of a link entered at instant t_s, from the loaded state.
+    def fd_travel_times(self, rows: np.ndarray, t_s: np.ndarray) -> np.ndarray:
+        """Traversal times of the links in `rows` (link rows), each entered at
+        its instant t_s[i], from the loaded state.
 
         The floor is a free-flow pass at the effective speed prevailing at
         entry; on top of that comes whatever delay the curves realized (the
         horizontal gap between the entry rank on U and the same rank on V).
-        Returns None when the rank never exits within the horizon.
+        NaN where the effective speed is not positive or the rank never exits
+        within the horizon.
         """
-        i = self.link_index[link_id]
-        link = self.network.links[link_id]
-        dt = self.grid.dt
-        b = min(max(int(t_s / dt), 0), self.grid.n_bins - 1)
-        rho = self.densities()[1][i, b]
-        vhat = float(fd.effective_speed_profile(link.v_f, rho, self.fd_variant, self.fd_gamma))
-        if vhat <= 0:
-            return None
-        free = link.length / vhat
-        rank = float(ltm.interp_at(self.U[i][None, :], np.array([t_s]), dt)[0])
-        exit_t = ltm.crossing_time(self.V[i], rank, dt, self.grid.n_bins)
-        if exit_t is None:
-            return None
-        return max(free, exit_t - t_s)
+        rows, t_s = np.asarray(rows, dtype=np.intp), np.asarray(t_s, dtype=float)
+        arrays, dt, n_bins = self.network.arrays, self.grid.dt, self.grid.n_bins
+        b = np.clip((t_s / dt).astype(int), 0, n_bins - 1)
+        vhat = fd.effective_speed_profile(arrays.v_f[rows], self.densities()[1][rows, b], self.fd_variant,
+                                          self.fd_gamma)
+        with np.errstate(divide="ignore", over="ignore"):  # vhat 0 or subnormal: no finite time
+            free = arrays.length[rows] / vhat
+        rank = ltm.interp_at(self.U, t_s, dt, rows)
+        exit_t = ltm.crossing_times(self.V[rows], rank, dt, n_bins)
+        return np.where(vhat > 0, np.maximum(free, exit_t - t_s), np.nan)
 
     # -- invariants ----------------------------------------------------------
 
@@ -280,20 +279,6 @@ def _senders(t, U, V, Ud, live, S, queues, origin_nodes, to_node, n_links):
     queue = np.concatenate((np.full(len(link_rows), -1), queued))
     order = np.lexsort((row, node))
     return node[order], row[order], queue[order], np.concatenate(persons)[order]
-
-
-def _group(*keys):
-    """Number the distinct key tuples in np.lexsort order (the last key
-    major); returns each element's number and the first element of each."""
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    number = np.empty(len(order), dtype=np.intp)
-    number[order] = np.cumsum(new) - 1
-    return number, order[new]
 
 
 class _NodeStep(NamedTuple):

@@ -101,37 +101,25 @@ def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank, t: int, rows=None) -
     return Ud[rows, :, b] * (1.0 - frac) + Ud[rows, :, b + 1] * frac
 
 
-def crossing_time(arr: np.ndarray, rank: float, dt: float, n_valid: int) -> float | None:
-    """First instant a cumulative curve reaches `rank`, or None if it never does.
+def crossing_times(curves: np.ndarray, rank: np.ndarray, dt: float, n_valid: int) -> np.ndarray:
+    """First instant each cumulative row curves[i] reaches rank[i], NaN where it never does.
 
     Only bins up to n_valid are trusted (later bins may not be written yet).
-    A rank within 1e-12 above the last sample crosses there.
+    A rank within 1e-12 above a row's last sample crosses there.
     """
-    head = arr[: n_valid + 1]
-    if head[-1] < rank - 1e-12:
-        return None
-    b, frac = _rank_position(head, rank)
-    return (b + frac) * dt
-
-
-def _rank_position(head: np.ndarray, rank: float) -> tuple[int, float]:
-    """(sample, fraction): the nondecreasing samples `head` first reach `rank`,
-    clamped to the last sample, at sample + fraction (linear interpolation);
-    (0, 0.0) when the first sample already reaches it."""
-    rank = min(rank, head[-1])
-    idx = int(np.searchsorted(head, rank, side="left"))
-    if idx == 0:
-        return 0, 0.0
-    denom = head[idx] - head[idx - 1]
-    return idx - 1, (rank - head[idx - 1]) / denom if denom > 0 else 0.0
+    head = curves[:, : n_valid + 1]
+    rank = np.asarray(rank, dtype=float)
+    b, frac = _rank_positions(head, rank)
+    return np.where(head[:, -1] < rank - 1e-12, np.nan, (b + frac) * dt)
 
 
 def _rank_positions(head: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_rank_position` of every row: head[i] and rank[i] for each i at once.
+    """(sample, fraction) per row: the nondecreasing samples head[i] first
+    reach rank[i], clamped to the last sample, at sample + fraction (linear
+    interpolation); (0, 0.0) where the first sample already reaches it.
 
     On a nondecreasing row the samples below the rank are a prefix, so their
-    count is the searchsorted position.  (The scalar form stays for the one-rank
-    callers, whose call costs a fifth of this one's.)"""
+    count is the searchsorted position."""
     rank = np.minimum(rank, head[:, -1])
     idx = (head < rank[:, None]).sum(axis=1)
     below = np.maximum(idx - 1, 0)

@@ -213,41 +213,68 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     return q, theta
 
 
+def _group(*keys):
+    """Number the distinct key tuples in np.lexsort order (the last key
+    major); returns each element's number and the first element of each
+    (its earliest, np.lexsort being stable)."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return number, order[new]
+
+
 class TurningFractions:
     """Per-destination, per-node movement split over time, with a successor fallback.
 
-    Movement mass comes from the route flows; where no mass exists for an
-    incoming link at some instant, the split follows the destination's
-    shortest-path successor in `trees` (`network.Trees`), so residual
-    pedestrians route wherever the destination can be reached.
+    `movements` holds flat arrays (dest, node, in_key, out_key, bin, mass):
+    one entry per contribution of route flow, in the order they are summed
+    (`paths_to_turning_fractions` builds them).  They become dense arrays:
+    groups numbers the distinct (dest, node, in_key) keys, and group g's
+    movements are rows first[g] to first[g] + count[g] of mass (movement,
+    bin), out keys ascending.  Each mass cell sums its contributions in
+    their order; totals (group, bin) sums each group's rows in the order
+    their out keys first appear.  Where no mass exists for an incoming link
+    at some instant, the split follows the destination's shortest-path
+    successor in `trees` (`network.Trees`), so residual pedestrians route
+    wherever the destination can be reached.
     """
 
-    def __init__(self, n_bins: int, trees):
+    def __init__(self, n_bins: int, trees, movements=None):
         self.n_bins = n_bins
-        # movements[(dest, node, in_key)][out_key] -> mass per bin
-        self.movements: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
         self.trees = trees
+        if movements is None:
+            movements = (np.zeros(0, dtype=int),) * 5 + (np.zeros(0),)
+        dest, node, in_key, out_key, bins, mass = movements
+        group, key_at = _group(in_key, node, dest)
+        move, seen = _group(out_key, group)  # seen: each movement's first contribution
+        keys = zip(dest[key_at].tolist(), node[key_at].tolist(), in_key[key_at].tolist())
+        self.groups = {key: g for g, key in enumerate(keys)}
+        self.count = np.bincount(group[seen], minlength=len(key_at))
+        self.first = np.cumsum(self.count) - self.count
+        self.out_key = out_key[seen]
+        self.mass = np.bincount(move * n_bins + bins, mass, len(seen) * n_bins).reshape(-1, n_bins)
+        self.totals = np.zeros((len(key_at), n_bins))
+        by_seen = np.argsort(seen)
+        np.add.at(self.totals, group[seen[by_seen]], self.mass[by_seen])
         # per destination and bin, the tree column of the latest tree bin at or
-        # before it (its first tree before that)
-        self._columns: dict[int, list[int]] = {}
+        # before it (its first tree before that); row tree_row[dest] of tree_cols
+        tree_dests = sorted(set(trees.destinations.tolist()))
+        self.tree_row = {d: i for i, d in enumerate(tree_dests)}
+        self.tree_cols = np.zeros((len(tree_dests), n_bins), dtype=np.intp)
         order = np.lexsort((trees.bins, trees.destinations))
-        for dest in sorted(set(trees.destinations.tolist())):
-            cols = order[trees.destinations[order] == dest]
+        for i, d in enumerate(tree_dests):
+            cols = order[trees.destinations[order] == d]
             pos = np.searchsorted(trees.bins[cols], np.arange(n_bins), side="right") - 1
-            self._columns[dest] = cols[np.maximum(pos, 0)].tolist()
-        self._table: _FractionTable | None = None
+            self.tree_cols[i] = cols[np.maximum(pos, 0)]
 
     @property
     def destinations(self) -> list[int]:
-        return sorted({key[0] for key in self.movements} | set(self._columns))
-
-    def add_mass(self, dest: int, node: int, in_key: int, out_key: int, t_idx: int, mass: float) -> None:
-        outs = self.movements.setdefault((dest, node, in_key), {})
-        arr = outs.get(out_key)
-        if arr is None:
-            arr = outs[out_key] = np.zeros(self.n_bins)
-        arr[min(t_idx, self.n_bins - 1)] += mass
-        self._table = None
+        return sorted({key[0] for key in self.groups} | set(self.tree_row))
 
     def fractions(self, dests, nodes, in_keys, t_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized splits of many incoming links at one instant, as flat arrays.
@@ -256,15 +283,14 @@ class TurningFractions:
         through in_keys[i].  Returns (query, out_keys, fractions): one entry
         per (query, out key) pair, queries ascending, each query's out keys
         ascending.  At its destination a query sinks; elsewhere the movement
-        mass at this instant decides (out keys with mass, each over the total
-        summed in insertion order); without any, residual pedestrians follow
-        the shortest-path successor.  A query gets no entry only where its
-        destination cannot be reached from the node (or has no tree column).
+        mass at this instant decides (out keys with mass, each over the group
+        total); without any, residual pedestrians follow the shortest-path
+        successor.  A query gets no entry only where its destination cannot
+        be reached from the node (or has no tree column).
         """
-        table = self._table if self._table is not None else self._build()
         t = min(t_idx, self.n_bins - 1)
         dests, nodes, in_keys = (np.asarray(a, dtype=int) for a in (dests, nodes, in_keys))
-        get = table.groups.get
+        get = self.groups.get
         group = np.array([get(key, -1) for key in zip(dests.tolist(), nodes.tolist(), in_keys.tolist())],
                          dtype=np.intp)
         sinks = np.flatnonzero(dests == nodes)
@@ -272,13 +298,13 @@ class TurningFractions:
 
         # queries with movement mass at t: every movement of the group with mass, over the group total
         routed = np.flatnonzero(group >= 0)
-        total = table.totals[group[routed], t]
+        total = self.totals[group[routed], t]
         routed, total = routed[total > 1e-15], total[total > 1e-15]
-        first, count = table.first[group[routed]], table.count[group[routed]]
+        first, count = self.first[group[routed]], self.count[group[routed]]
         moves = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-        mass = table.mass[moves, t]
+        mass = self.mass[moves, t]
         moved = mass > 0
-        by_mass, keys = np.repeat(routed, count)[moved], table.out_key[moves[moved]]
+        by_mass, keys = np.repeat(routed, count)[moved], self.out_key[moves[moved]]
         fracs = (mass / np.repeat(total, count))[moved]
 
         # the rest follow the successor, where there is one
@@ -286,7 +312,7 @@ class TurningFractions:
         rest[sinks] = False
         rest[routed] = False
         rest = np.flatnonzero(rest)
-        succ = table.successor(dests[rest], nodes[rest], t)
+        succ = self._successor(dests[rest], nodes[rest], t)
         rest, succ = rest[succ >= 0], succ[succ >= 0]
 
         query = np.concatenate((sinks, by_mass, rest))
@@ -295,60 +321,32 @@ class TurningFractions:
         fracs = np.concatenate((np.ones(len(sinks)), fracs, np.ones(len(rest))))
         return query[order], out_keys[order], fracs[order]
 
-    def _build(self) -> "_FractionTable":
-        self._table = _FractionTable(self.movements, self._columns, self.trees, self.n_bins)
-        return self._table
-
-
-class _FractionTable:
-    """`TurningFractions` as dense arrays, built once per instance.
-
-    groups numbers the (dest, node, in_key) keys of the movements in
-    insertion order.  Group g's movements are rows first[g] to
-    first[g] + count[g] of mass (movement, bin), in ascending out key order;
-    totals (group, bin) sums them in insertion order.  tree_cols holds each
-    destination's tree column per bin (row tree_row[dest]).
-    """
-
-    def __init__(self, movements, columns, trees, n_bins):
-        self.groups = {key: g for g, key in enumerate(movements)}
-        self.totals = np.zeros((len(movements), n_bins))
-        self.count = np.array([len(outs) for outs in movements.values()], dtype=np.intp)
-        self.first = np.cumsum(self.count) - self.count
-        mass, out_key = [], []
-        for g, outs in enumerate(movements.values()):
-            for arr in outs.values():
-                self.totals[g] += arr
-            for key in sorted(outs):
-                mass.append(outs[key])
-                out_key.append(key)
-        self.mass = np.array(mass).reshape(len(mass), n_bins)
-        self.out_key = np.array(out_key, dtype=int)
-        self.tree_row = {dest: i for i, dest in enumerate(columns)}
-        self.tree_cols = np.array(list(columns.values()), dtype=np.intp).reshape(len(columns), n_bins)
-        self.succ, self.node_index = trees.succ, trees.node_index
-
-    def successor(self, dests, nodes, t):
+    def _successor(self, dests, nodes, t):
         """Successor link of each (dest, node) in the dest's tree column at bin t, -1 where none."""
         rows = np.array([self.tree_row.get(d, -1) for d in dests.tolist()], dtype=np.intp)
         out = np.full(len(dests), -1)
         has = np.flatnonzero(rows >= 0)
         if has.size:
-            at = [self.node_index[n] for n in nodes[has].tolist()]
-            out[has] = self.succ[self.tree_cols[rows[has], t], at]
+            at = [self.trees.node_index[n] for n in nodes[has].tolist()]
+            out[has] = self.trees.succ[self.tree_cols[rows[has], t], at]
         return out
 
 
 def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None) -> TurningFractions:
     """Convert route flows into per-destination turning fractions over time.
 
-    path_flows is an iterable of (path, departure bin, flow in ped/s).  Each
+    path_flows is an iterable of (path, departure bin k, flow in ped/s).  Each
     path's flow is projected forward through its nodes at the link costs
     frozen at the departure bin (costs: `(n_links, n_bins)`, rows in sorted
     link id order; free-flow times when None), and accumulated as movement
-    mass per (destination, node, incoming, outgoing).  `trees`
-    (`network.Trees`) supplies the successor fallback; when None, free-flow
-    trees toward the paths' destinations are built.
+    mass per (destination, node, incoming, outgoing).  All paths advance
+    together over link positions: a traveller enters its first link at
+    k * dt, each next one at t + costs[row, min(k, last column)], in bin
+    int(t / dt + 1e-9); arrivals past the horizon fold into the last bin.
+    The movements come out item by item, each path in route order, which is
+    the order their masses are summed.  `trees` (`network.Trees`) supplies
+    the successor fallback; when None, free-flow trees toward the paths'
+    destinations are built.
     """
     arrays = network.arrays
     free_flow = (arrays.length / arrays.v_f)[:, None]
@@ -357,15 +355,31 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
     if trees is None:
         dests = sorted({path.od[1] for path, _, _ in path_flows})
         trees = shortest_paths(network, free_flow, [0] * len(dests), dests)
-    tf = TurningFractions(grid.n_bins, trees)
-    dt, last = grid.dt, costs.shape[1] - 1
-    for path, k_idx, flow in path_flows:
-        dest = path.od[1]
-        t = k_idx * dt
-        in_key = ORIGIN
-        for lid in path.link_ids:
-            tf.add_mass(dest, network.links[lid].from_node, in_key, lid, int(t / dt + 1e-9), flow)
-            t += float(costs[arrays.index[lid], min(k_idx, last)])
-            in_key = lid
-        tf.add_mass(dest, dest, in_key, SINK, int(t / dt + 1e-9), flow)
-    return tf
+    n_bins, dt = grid.n_bins, grid.dt
+    link_ids = np.array(arrays.order, dtype=int)
+    from_node = np.array(arrays.nodes, dtype=int)[arrays.tail]
+    n = len(path_flows)
+    lengths = np.array([len(path.link_ids) for path, _, _ in path_flows], dtype=int)
+    padded = np.zeros((n, lengths.max(initial=0)), dtype=np.intp)  # link rows, route order, zero-padded
+    padded[lengths[:, None] > np.arange(padded.shape[1])] = [arrays.index[lid] for path, _, _ in path_flows
+                                                              for lid in path.link_ids]
+    dest = np.array([path.od[1] for path, _, _ in path_flows], dtype=int)
+    k = np.array([k for _, k, _ in path_flows], dtype=int)
+    flow = np.array([f for _, _, f in path_flows], dtype=float)
+    col = np.minimum(k, costs.shape[1] - 1)
+
+    t = k * dt
+    in_key = np.full(n, ORIGIN)
+    parts = []  # (item, node, in key, out key, entry instant) per link position, then the sinks
+    for j in range(padded.shape[1]):
+        on = np.flatnonzero(lengths > j)
+        r = padded[on, j]
+        parts.append((on, from_node[r], in_key[on], link_ids[r], t[on]))
+        t[on] += costs[r, col[on]]
+        in_key[on] = link_ids[r]
+    parts.append((np.arange(n), dest, in_key, np.full(n, SINK), t))
+    item, node, ins, outs, when = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(item, kind="stable")  # item by item, each in route order
+    item = item[order]
+    bins = np.minimum((when[order] / dt + 1e-9).astype(int), n_bins - 1)
+    return TurningFractions(n_bins, trees, (dest[item], node[order], ins[order], outs[order], bins, flow[item]))

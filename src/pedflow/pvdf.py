@@ -11,7 +11,6 @@ loaded network state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,24 +56,19 @@ class PvdfParams:
 
 
 def link_cost(link, params: PvdfParams, u: float, u_opp: float) -> float:
-    """Travel time of one link in seconds given directional inflows in ped/s.
+    """Travel time of one link in seconds given directional inflows in ped/s:
+    `link_cost_profile` on one element.
 
     `link` only needs `free_flow_time` and `capacity` attributes, so plain
     stubs work in tests.
     """
     if u < 0 or u_opp < 0:
         raise ValueError(f"flows must be nonnegative, got ({u}, {u_opp})")
-    tau = link.free_flow_time
-    cap = link.capacity
-    if cap <= 0:
-        raise ValueError(f"link capacity must be positive, got {cap}")
-    cost = tau * (1.0 + params.alpha * ((u + u_opp) / cap) ** params.beta)
-    if params.mode == "asymmetric":
-        exponent = params.eta_r * (u / cap - params.lambda_r) ** 2 + params.eta_c * (
-            u_opp / cap - params.lambda_c
-        ) ** 2
-        cost += tau * params.mu * math.exp(exponent)
-    return cost
+    if link.capacity <= 0:
+        raise ValueError(f"link capacity must be positive, got {link.capacity}")
+    tau, capacity = np.array([link.free_flow_time]), np.array([link.capacity])
+    u, u_opp = np.array([[u]], dtype=float), np.array([[u_opp]], dtype=float)
+    return float(link_cost_profile(tau, capacity, params, u, u_opp)[0, 0])
 
 
 def link_cost_profile(
@@ -87,9 +81,12 @@ def link_cost_profile(
     """Vectorized link costs: tau/capacity per link (column vectors) against
     directional inflow trajectories u, u_opp of shape (n_links, n_bins).
 
-    The formula of `link_cost`, computed in place in one output array plus
-    one scratch array in the asymmetric mode.  Each element goes through the
-    same operations as in the plain array expression of that formula, so the
+    The cost is tau * (1 + alpha * ((u + u_opp) / capacity) ** beta), plus
+    in the asymmetric mode the bidirectional bump tau * mu * exp(eta_r *
+    (u / capacity - lambda_r) ** 2 + eta_c * (u_opp / capacity - lambda_c)
+    ** 2).  It is computed in place in one output array plus one scratch
+    array in the asymmetric mode.  Each element goes through the same
+    operations as in the plain array expression of that formula, so the
     result is bit-identical to it.
     """
     tau = tau[:, None]
@@ -131,26 +128,27 @@ def instantaneous_route_time(rows, costs: np.ndarray, k: int) -> float:
     return sum(costs[rows, k].tolist())
 
 
-def experienced_route_time(
-    path,
-    fd_time_fn: Callable[[int, float], float | None],
-    k: float,
-    horizon: float | None = None,
-) -> float | None:
-    """Route time accumulated link by link from the loaded traversal times.
+def experienced_route_times(link_rows, departs, link_times: Callable, horizon: float | None = None) -> np.ndarray:
+    """Route times accumulated link by link from the loaded traversal times.
 
-    Each link's traversal time is evaluated at the instant the traveller
-    reaches it: entering link i at time t costs fd_time_fn(link_id, t) and the
-    next link is entered at t plus that cost.  Returns None when the trip
-    cannot be completed within the horizon (an incomplete trip, deliberately
-    distinct from any numeric result).
+    Trip i leaves at departs[i] over the links link_rows[i] (in route order).
+    Every trip advances together over link positions: entering a link at t
+    costs link_times(rows, t)[i] for the trips' links `rows` and entry
+    instants t, and the next link is entered at t plus that cost.  A trip
+    whose link time is not finite, or whose clock passes the horizon, is
+    incomplete: NaN, deliberately distinct from any numeric result.
     """
-    t = float(k)
-    for link_id in path.link_ids:
-        c = fd_time_fn(link_id, t)
-        if c is None or not math.isfinite(c):
-            return None
-        t += c
-        if horizon is not None and t > horizon:
-            return None
-    return t - float(k)
+    departs = np.asarray(departs, dtype=float)
+    horizon = np.inf if horizon is None else horizon
+    lengths = np.array([len(rows) for rows in link_rows], dtype=int)
+    padded = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)  # link rows, zero-padded
+    padded[lengths[:, None] > np.arange(padded.shape[1])] = [row for rows in link_rows for row in rows]
+    t = departs.copy()
+    for j in range(padded.shape[1]):
+        on = np.flatnonzero((lengths > j) & ~np.isnan(t))
+        if not on.size:
+            break
+        cost = np.asarray(link_times(padded[on, j], t[on]), dtype=float)
+        t[on] += cost
+        t[on[~np.isfinite(cost) | (t[on] > horizon)]] = np.nan
+    return t - departs

@@ -2,13 +2,15 @@
 
 `reference_load_network` is that `loading.load_network`, verbatim except
 for its name and two calls: the scalar FIFO split and the scalar fraction
-lookup it called are the functions below, copied verbatim from `ltm` and
-from `nodemodel.TurningFractions` of the same version (the method's `self`
-renamed `tf`).  It loops over the
-active nodes of every step and calls `solve_node` on each of them.  The link
-kernels it calls (`ltm.sending_flows_at`, `ltm.receiving_flows_at`,
-`ltm.counterflow_at`, `fd.density_ratio_profile`) are the package's, on every
-link.
+lookup it called are the functions below.  The split is copied verbatim
+from `ltm` of the same version (its `_rank_position` lives in
+`reference_route_times`).  The lookup reads the dense arrays of
+`nodemodel.TurningFractions` one key at a time, its total from the stored
+group totals, so it stays independent of `TurningFractions.fractions`.
+It loops over the active nodes of every step and calls `solve_node` on
+each of them.  The link kernels it calls (`ltm.sending_flows_at`,
+`ltm.receiving_flows_at`, `ltm.counterflow_at`, `fd.density_ratio_profile`)
+are the package's, on every link.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from pedflow import fd, ltm
 from pedflow.loading import LoadingResult
 from pedflow.nodemodel import ORIGIN, SINK, NodeFlowProblem, TurningFractions, solve_node
+from reference_route_times import _rank_position
 
 
 def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0: float, r1: float, t: int) -> np.ndarray:
@@ -45,18 +48,6 @@ def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank: float, t: int) -> np
     return Ud[:, b] * (1.0 - frac) + Ud[:, b + 1] * frac
 
 
-def _rank_position(head: np.ndarray, rank: float) -> tuple[int, float]:
-    """(sample, fraction): the nondecreasing samples `head` first reach `rank`,
-    clamped to the last sample, at sample + fraction (linear interpolation);
-    (0, 0.0) when the first sample already reaches it."""
-    rank = min(rank, head[-1])
-    idx = int(np.searchsorted(head, rank, side="left"))
-    if idx == 0:
-        return 0, 0.0
-    denom = head[idx] - head[idx - 1]
-    return idx - 1, (rank - head[idx - 1]) / denom if denom > 0 else 0.0
-
-
 def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list[tuple[int, float]]:
     """Normalized split [(out_key, fraction), ...] for one incoming link.
 
@@ -67,13 +58,14 @@ def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list
     if node == dest:
         return [(SINK, 1.0)]
     t = min(t_idx, tf.n_bins - 1)
-    outs = tf.movements.get((dest, node, in_key))
-    if outs is not None:
-        total = sum(arr[t] for arr in outs.values())
+    g = tf.groups.get((dest, node, in_key))
+    if g is not None:
+        total = tf.totals[g, t]
         if total > 1e-15:
-            return [(key, arr[t] / total) for key, arr in sorted(outs.items()) if arr[t] > 0]
-    cols = tf._columns.get(dest)
-    lid = -1 if cols is None else int(tf.trees.succ[cols[t], tf.trees.node_index[node]])
+            moves = range(tf.first[g], tf.first[g] + tf.count[g])
+            return [(int(tf.out_key[m]), tf.mass[m, t] / total) for m in moves if tf.mass[m, t] > 0]
+    row = tf.tree_row.get(dest)
+    lid = -1 if row is None else int(tf.trees.succ[tf.tree_cols[row, t], tf.trees.node_index[node]])
     return [(lid, 1.0)] if lid >= 0 else []
 
 

@@ -7,6 +7,7 @@ implied by the two simulated states it separates.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pedflow.assignment import run_due
 from pedflow.config import ScenarioConfig
 from pedflow.engine import build_time_space, detect_shockwaves
 from pedflow.fd import FDParams, FDState, critical_density, effective_jam_density, effective_speed, flow
-from pedflow.network import DemandProfile, TimeGrid
+from pedflow.network import DemandProfile, Network, TimeGrid, validate_network
 from pedflow.nodemodel import NodeFlowProblem, paths_to_turning_fractions, solve_node
 from pedflow.loading import load_network as load_flows
 from pedflow.scenarios import (
@@ -125,6 +126,34 @@ def test_criterion_04_classic_loader_equivalence():
     # exact at machine precision, every link and bin
     assert np.abs(result.U - U_ref).max() <= 1e-12
     assert np.abs(result.V - V_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("effective_storage", [False, True])
+def test_criterion_04_classic_loader_equivalence_on_paired_links(effective_storage):
+    # the same chain with a twin on every link and no counterflow: the twins
+    # stay empty, so nothing is reserved, every density ratio reads 1 and the
+    # classic recursion still holds
+    one_way = one_way_chain()
+    links = [replace(l, opposite=l.id + 10) for l in one_way.links.values()]
+    links += [replace(l, id=l.id + 10, from_node=l.to_node, to_node=l.from_node, opposite=l.id)
+              for l in one_way.links.values()]
+    net = Network(list(one_way.nodes.values()), links)
+    assert validate_network(net) == []
+    grid = TimeGrid(1.0, 40.0)
+    demand = DemandProfile()
+    rates = np.zeros(40)
+    rates[:10] = 0.5
+    for k in range(10):
+        demand.add(1, 4, float(k), 0.5)
+    path = net.path_from_nodes((1, 2, 3, 4))
+    fractions = paths_to_turning_fractions([(path, k, 0.5) for k in range(10)], net, grid)
+    result = load_flows(net, grid, demand, fractions, effective_storage=effective_storage)
+    U_ref, V_ref = classic_recursion(rates, 40)
+    rows = [result.link_index[lid] for lid in path.link_ids]
+    assert np.abs(result.U[rows] - U_ref).max() <= 1e-12
+    assert np.abs(result.V[rows] - V_ref).max() <= 1e-12
+    twins = [result.link_index[lid + 10] for lid in path.link_ids]
+    assert not result.U[twins].any() and not result.V[twins].any()
 
 
 def test_criterion_05_bottleneck_shockwaves(preset_runs):

@@ -12,6 +12,7 @@ from pedflow.assignment import (
     update_flows,
 )
 from pedflow.config import ScenarioConfig
+from pedflow.loading import load_network as load_flows
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
 from pedflow.scenarios import generate_corridor_scenario, generate_grid_scenario, make_grid_network
 
@@ -211,6 +212,21 @@ class TestRunDue:
             assert np.array_equal(s1.flows[od], s2.flows[od])
         assert np.array_equal(s1.loading.U, s2.loading.U)
         assert np.array_equal(s1.loading.V, s2.loading.V)
+
+    def test_previous_loading_is_dropped_before_the_next(self):
+        # the loader builds each iteration's curves with the last ones already let go
+        net, demand, cfg = generate_grid_scenario(preset=1)
+        cfg = ScenarioConfig(dt=cfg.dt, horizon=cfg.horizon, max_iters=3, gap_tol=1e-15)
+        calls = []
+
+        def loader(network, grid, demand, fractions, state):
+            assert state.loading is None
+            calls.append(state.iteration)
+            return load_flows(network, grid, demand, fractions)
+
+        state, report = run_due(net, demand, cfg, loader=loader)
+        assert calls == [0, 1, 2]
+        assert state.loading is not None
 
 
 class StaticResult:

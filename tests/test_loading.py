@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,9 @@ from pedflow.loading import load_network as load_flows
 from pedflow.ltm import _counts_up_to_rank
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
 from pedflow.nodemodel import paths_to_turning_fractions
+from pedflow.pvdf import experienced_route_times
 from pedflow.scenarios import DEFAULT_WIDTH, generate_corridor_scenario, make_corridor_network, make_grid_network
+import reference_route_times
 from reference_loader import reference_load_network
 
 
@@ -126,12 +131,19 @@ class TestOriginQueue:
         assert result.loaded.sum() + result.queued.sum() == pytest.approx(30.0)
 
 
+def fd_travel_time(result, link_id, t_s):
+    """One query of the array-form LoadingResult.fd_travel_times, None where it reads NaN."""
+    got = result.fd_travel_times(np.array([result.link_index[link_id]]), np.array([t_s]))
+    assert got.shape == (1,)
+    return None if np.isnan(got[0]) else float(got[0])
+
+
 class TestLoadedTravelTimes:
     def test_free_flow_traversal_on_empty_link(self):
         net = one_way_chain()
         grid = TimeGrid(1.0, 10.0)
         result = load_flows(net, grid, DemandProfile(), paths_to_turning_fractions([], net, grid))
-        assert result.fd_travel_time(1, 0.0) == pytest.approx(2.0)  # 2 m at 1 m/s
+        assert fd_travel_time(result, 1, 0.0) == pytest.approx(2.0)  # 2 m at 1 m/s
 
     def test_queueing_adds_delay(self):
         net = one_way_chain()
@@ -143,7 +155,7 @@ class TestLoadedTravelTimes:
         fractions = paths_to_turning_fractions([(path, k, 0.5) for k in range(10)], net, grid)
         result = load_flows(net, grid, demand, fractions)
         # the first link queues behind the narrow middle link
-        assert result.fd_travel_time(1, 8.0) > 2.0 + 1e-6
+        assert fd_travel_time(result, 1, 8.0) > 2.0 + 1e-6
 
     def test_float_noise_occupancy_reads_as_empty(self):
         # exits one ulp above entries (occupancy -2.2e-16) is an empty link
@@ -152,11 +164,11 @@ class TestLoadedTravelTimes:
         result = load_flows(net, grid, DemandProfile(), paths_to_turning_fractions([], net, grid))
         result.U[0] = 1.0
         result.V[0] = np.nextafter(1.0, 2.0)
-        assert result.fd_travel_time(1, 0.0) == pytest.approx(2.0)
+        assert fd_travel_time(result, 1, 0.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("variant, gamma", [("logistic", None), ("power", 1.7)])
     def test_rho_and_vhat_match_scalar_fd(self, variant, gamma):
-        # the rho and vhat fd_travel_time reads, against fd's scalar functions,
+        # the rho and vhat fd_travel_times reads, against fd's scalar functions,
         # on random occupancies with empty links, empty pairs and float noise
         net, _, _ = generate_corridor_scenario(preset=6)
         grid = TimeGrid(1.0, 20.0)
@@ -219,7 +231,7 @@ class TestBidirectionalCorridor:
         assert result.conservation_violations() == []
         assert result.loaded.sum() > 0
         # counterflow slows both streams: travel time above free flow mid-run
-        assert result.fd_travel_time(1, 30.0) > net.links[1].free_flow_time + 1e-9
+        assert fd_travel_time(result, 1, 30.0) > net.links[1].free_flow_time + 1e-9
 
     def test_counterflow_reservation_throttles_entry(self):
         # identical one-way demand with and without an opposing stream:
@@ -383,3 +395,24 @@ class TestLoaderParity:
             return got
 
         run_due(net, demand, cfg, loader=both)
+
+
+class TestRouteTimeParity:
+    @settings(max_examples=60, deadline=None)
+    @given(congested_assignments(), st.integers(6, 25))
+    def test_bit_identical_to_the_scalar_chain(self, case, horizon):
+        """The lockstep walk over every trip of a run reproduces the scalar
+        fd_travel_time -> crossing_time chain of tests/reference_route_times.py
+        trip by trip, NaN where it returns None; short horizons leave trips
+        incomplete."""
+        net, demand, cfg = case
+        cfg = replace(cfg, horizon=float(horizon))
+        state = run_due(net, demand, cfg)[0]
+        result, dt = state.loading, cfg.dt
+        trips = [(od, row, k) for od in state.ods for row in range(len(state.paths[od])) for k in state.k_bins[od]]
+        got = experienced_route_times([state.link_rows[od][row] for od, row, _ in trips], [k * dt for *_, k in trips],
+                                      result.fd_travel_times, cfg.horizon)
+        link_time = functools.partial(reference_route_times.fd_travel_time, result)
+        want = [reference_route_times.experienced_route_time(state.paths[od][row], link_time, k * dt, cfg.horizon)
+                for od, row, k in trips]
+        assert got.tobytes() == np.array([np.nan if w is None else w for w in want]).tobytes()

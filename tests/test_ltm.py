@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pedflow.ltm import (
-    _rank_position,
     _rank_positions,
-    crossing_time,
+    crossing_times,
     interp_at,
     receiving_flows_at,
     sending_flows_at,
     split_by_entry_order,
 )
 from pedflow.network import Link
+from reference_route_times import _rank_position
 
 
 def make_link(**kw):
@@ -173,6 +173,13 @@ class TestRankPositions:
         b, frac = _rank_positions(head, ranks)
         for i in range(len(head)):
             assert (int(b[i]), float(frac[i])) == _rank_position(head[i], float(ranks[i]))
+
+
+def crossing_time(arr, rank, dt, n_valid):
+    """One query of the array-form crossing_times, None where the rank is never reached."""
+    got = crossing_times(arr[None, :], np.array([rank]), dt, n_valid)
+    assert got.shape == (1,)
+    return None if np.isnan(got[0]) else float(got[0])
 
 
 class TestCrossingTime:

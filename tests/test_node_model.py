@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_fractions
 from pedflow import nodemodel
 from pedflow.ltm import counterflow_at
-from pedflow.network import TimeGrid, Trees
+from pedflow.network import Path, TimeGrid, Trees
 from pedflow.nodemodel import (
     ORIGIN,
     SINK,
@@ -274,3 +277,124 @@ class TestTurningFractions:
         net, grid = self.grid_paths()
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}))
         assert lookup(tf, 9, 5, ORIGIN, 0) == []
+
+    def test_sums_follow_contribution_order(self):
+        # float sums that depend on their order: a cell sums its contributions
+        # as given, a group total its out keys in the order they first appear
+        net, grid = self.grid_paths()
+        movements = (np.full(6, 9), np.full(6, 5), np.full(6, ORIGIN), np.array([30, 10, 20, 10, 10, 10]),
+                     np.array([0, 0, 0, 1, 1, 1]), np.array([0.1, 0.2, 0.3, 0.3, 0.2, 0.1]))
+        tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}), movements)
+        g = tf.groups[(9, 5, ORIGIN)]
+        assert tf.out_key[tf.first[g]:tf.first[g] + tf.count[g]].tolist() == [10, 20, 30]
+        assert 0.1 + 0.2 + 0.3 != 0.2 + 0.3 + 0.1
+        assert tf.totals[g, 0] == 0.1 + 0.2 + 0.3
+        assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+        assert tf.mass[tf.first[g], 1] == 0.3 + 0.2 + 0.1
+
+    def test_paths_contribute_item_by_item(self):
+        # three paths meet on one movement at node 3, the first at its third
+        # link and the others at their second: the cell sums them in item order
+        net, grid = self.grid_paths()
+        long, short = net.path_from_nodes((1, 2, 3, 6, 9)), net.path_from_nodes((2, 3, 6, 9))
+        costs = np.full((len(net.links), grid.n_bins), 0.1)
+        tf = paths_to_turning_fractions([(long, 0, 0.1), (short, 0, 0.2), (short, 0, 0.3)], net, grid, costs)
+        g = tf.groups[(9, 3, long.link_ids[1])]
+        assert tf.out_key[tf.first[g]] == long.link_ids[2] and tf.count[g] == 1
+        assert tf.mass[tf.first[g], 0] == 0.1 + 0.2 + 0.3
+
+    def test_entry_bin_tolerates_float_noise(self):
+        # link costs 0.7, 0.2 and 0.1 arrive a few ulp before t = 1, which is bin 1
+        net, grid = self.grid_paths()
+        path = net.path_from_nodes((1, 2, 3, 6))
+        costs = np.ones((len(net.links), grid.n_bins))
+        for lid, cost in zip(path.link_ids, (0.7, 0.2, 0.1)):
+            costs[net.arrays.index[lid]] = cost
+        tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid, costs)
+        assert 0.7 + 0.2 + 0.1 < 1.0
+        g = tf.groups[(6, 6, path.link_ids[-1])]
+        assert tf.mass[tf.first[g]].tolist() == [0.0, 1.0] + [0.0] * (grid.n_bins - 2)
+
+
+@st.composite
+def route_flows(draw):
+    """A paired 2x2 to 4x4 grid or 2- to 6-segment corridor, per-bin link
+    costs up to 12 s on a 2- to 8-bin grid (so paths run past the horizon;
+    some are tenths, whose sums land a few ulp off whole seconds), and 1-40
+    (path, departure bin, flow) items.  Paths are loop-free random walks
+    from a few origins that stop at one of a few destinations or after 8
+    links, so many share their movements; some flows are zero and some
+    departures lie past the last cost column."""
+    if draw(st.booleans()):
+        net = make_grid_network(draw(st.integers(2, 4)))
+    else:
+        net = make_corridor_network(draw(st.integers(2, 6)))
+    n_bins = draw(st.integers(2, 8))
+    grid = TimeGrid(1.0, float(n_bins))
+    cost = st.one_of(st.integers(1, 120).map(lambda c: c / 10), st.floats(0.05, 12.0))
+    costs = np.array(draw(st.lists(st.lists(cost, min_size=n_bins, max_size=n_bins),
+                                   min_size=len(net.links), max_size=len(net.links))))
+    nodes = st.sampled_from(sorted(net.nodes))
+    origins, dests = draw(st.lists(nodes, min_size=1, max_size=3)), draw(st.lists(nodes, min_size=1, max_size=2))
+    items = []
+    for _ in range(draw(st.integers(1, 40))):
+        node = draw(st.sampled_from(origins))
+        seen, link_ids = {node}, []
+        while len(link_ids) < 8 and (not link_ids or node not in dests):
+            steps = [lid for lid in net.out_links[node] if net.links[lid].to_node not in seen]
+            if not steps:
+                break
+            lid = draw(st.sampled_from(steps))
+            link_ids.append(lid)
+            node = net.links[lid].to_node
+            seen.add(node)
+        if link_ids:
+            path = Path(od=(net.links[link_ids[0]].from_node, node), link_ids=tuple(link_ids))
+            flow = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+            items.append((path, draw(st.integers(0, n_bins + 1)), flow))
+    return net, grid, costs, items
+
+
+class TestFractionsParity:
+    @settings(max_examples=150, deadline=None)
+    @given(route_flows())
+    def test_table_holds_the_movement_dict(self, case):
+        """The dense table is the add_mass-built dict: the same keys, out keys
+        ascending, the same mass per bin, and each group total summed over
+        its out keys in their insertion order."""
+        net, grid, costs, items = case
+        got = paths_to_turning_fractions(items, net, grid, costs)
+        want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
+        assert sorted(got.groups) == sorted(want.movements)
+        for key, outs in want.movements.items():
+            g = got.groups[key]
+            rows = slice(got.first[g], got.first[g] + got.count[g])
+            assert got.out_key[rows].tolist() == sorted(outs)
+            assert got.mass[rows].tobytes() == np.array([outs[k] for k in sorted(outs)]).tobytes()
+            total = np.zeros(grid.n_bins)
+            for arr in outs.values():
+                total += arr
+            assert got.totals[g].tobytes() == total.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(route_flows())
+    def test_bit_identical_to_the_movement_dict(self, case):
+        """fractions() answers every key of the add_mass-built dict, every
+        (destination, node) from an origin, and sinks, at every bin (one
+        past the last too), with the reference dict lookup's bytes."""
+        net, grid, costs, items = case
+        got = paths_to_turning_fractions(items, net, grid, costs)
+        want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
+        assert got.destinations == want.destinations
+        keys = list(want.movements)
+        keys += [(dest, node, ORIGIN) for dest in want.destinations for node in sorted(net.nodes)]
+        keys += [(dest, dest, lid) for dest in want.destinations for lid in net.in_links[dest]]
+        keys += [(node, node, ORIGIN) for node in sorted(net.nodes)]
+        dests, nodes, in_keys = (np.array(column) for column in zip(*keys))
+        for t in range(grid.n_bins + 1):
+            query, out_keys, fracs = got.fractions(dests, nodes, in_keys, t)
+            expected = [(q, key, frac) for q, (dest, node, in_key) in enumerate(keys)
+                        for key, frac in reference_fractions.turning_fractions(want, dest, node, in_key, t)]
+            assert query.tolist() == [q for q, _, _ in expected]
+            assert out_keys.tolist() == [key for _, key, _ in expected]
+            assert fracs.tobytes() == np.array([frac for _, _, frac in expected], dtype=float).tobytes()

@@ -6,7 +6,7 @@ import pytest
 from pedflow.network import Path
 from pedflow.pvdf import (
     PvdfParams,
-    experienced_route_time,
+    experienced_route_times,
     instantaneous_route_time,
     link_cost,
     link_cost_profile,
@@ -131,6 +131,21 @@ class TestInstantaneousRouteTime:
         assert type(got) is float
 
 
+def experienced_route_time(path, fd_fn, k, horizon=None):
+    """One trip of the array-form experienced_route_times over a scalar link
+    time fd_fn(link id, t) (None for no time), None where incomplete.  The
+    trip's link rows are its link ids."""
+
+    def link_times(rows, t):
+        assert len(rows) == len(t) == 1
+        c = fd_fn(int(rows[0]), float(t[0]))
+        return np.array([np.nan if c is None else c])
+
+    got = experienced_route_times([np.array(path.link_ids)], [k], link_times, horizon)
+    assert got.shape == (1,)
+    return None if np.isnan(got[0]) else float(got[0])
+
+
 class TestExperiencedRouteTime:
     def test_time_invariant_costs_match_instantaneous(self):
         path = Path(od=(1, 4), link_ids=(1, 2, 3))
@@ -167,6 +182,15 @@ class TestExperiencedRouteTime:
         path = Path(od=(1, 3), link_ids=(1, 2))
         fd_fn = lambda lid, t: 40.0
         assert experienced_route_time(path, fd_fn, 50.0, horizon=60.0) is None
+
+    def test_arrival_at_the_horizon_completes(self):
+        path = Path(od=(1, 3), link_ids=(1, 2))
+        fd_fn = lambda lid, t: 5.0
+        assert experienced_route_time(path, fd_fn, 50.0, horizon=60.0) == 10.0
+
+    def test_infinite_link_time_is_incomplete_without_a_horizon(self):
+        path = Path(od=(1, 3), link_ids=(1, 2))
+        assert experienced_route_time(path, lambda lid, t: float("inf"), 0.0) is None
 
     def test_unresolvable_link_time_is_incomplete(self):
         path = Path(od=(1, 2), link_ids=(1,))
