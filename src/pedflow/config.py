@@ -1,26 +1,18 @@
 """Scenario configuration: flat `key = value` text files.
 
-Recognized keys (defaults in parentheses):
-
-    time.dt (1.0)                time.horizon (120.0)
-    fd.variant (logistic)        fd.gamma (unset; required for power)
-    pvdf.mode (symmetric)        pvdf.alpha (0.5)      pvdf.beta (2.0)
-    pvdf.mu (0.0)                pvdf.eta_r (0.0)      pvdf.lambda_r (0.0)
-    pvdf.eta_c (0.0)             pvdf.lambda_c (0.0)
-    due.max_iters (50)           due.gap_tol (0.01)
-    ltm.effective_storage (false)
-    paths.max_paths (12)         paths.detour (1.0)
-    paths.enumerate (true)
-    debug.node_trace (true)
-    penalty                      repeatable: "<link id or from-to>@<start_s>:<added_cost_s>"
-
-Lines starting with # are comments.
+`KEYS` lists every recognized key with the field it sets; a key left out of
+the file keeps the default of `ScenarioConfig` or `PvdfParams`.  `penalty` is
+repeatable: "<link id or from-to>@<start_s>:<added_cost_s>".  Lines starting
+with # are comments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from .fd import check_speed_law
+from .network import write_table
 from .pvdf import PvdfParams
 
 
@@ -35,6 +27,18 @@ class LinkPenalty:
     link_ref: str  # integer link id, or "from-to" node pair
     start_s: float
     added_cost_s: float
+
+    @classmethod
+    def parse(cls, value: str) -> "LinkPenalty":
+        ref, _, rest = value.partition("@")
+        start, _, cost = rest.partition(":")
+        try:
+            return cls(link_ref=ref.strip(), start_s=float(start), added_cost_s=float(cost))
+        except ValueError as exc:
+            raise ValueError(f"expected '<link>@<start_s>:<added_cost_s>', got {value!r}") from exc
+
+    def __str__(self) -> str:
+        return f"{self.link_ref}@{self.start_s:.10g}:{self.added_cost_s:.10g}"
 
     def resolve(self, network) -> int:
         """Link id in the given network, or ConfigError if it does not exist."""
@@ -71,13 +75,52 @@ class ScenarioConfig:
             raise ConfigError(f"due.gap_tol must be positive, got {self.gap_tol}")
         if self.max_iters < 1:
             raise ConfigError(f"due.max_iters must be >= 1, got {self.max_iters}")
-        if self.fd_variant == "power" and self.fd_gamma is None:
-            raise ConfigError("fd.variant = power requires fd.gamma")
+        try:
+            check_speed_law(self.fd_variant, self.fd_gamma)
+        except ValueError as exc:
+            raise ConfigError(f"fd.{exc}") from exc
+
+
+def _boolean(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected true or false, got {raw!r}")
+
+
+# key: (field, parser), in the order write_config writes the keys.  A field
+# "pvdf.<name>" is ScenarioConfig.pvdf's; only penalty may repeat.
+KEYS = {
+    "time.dt": ("dt", float),
+    "time.horizon": ("horizon", float),
+    "fd.variant": ("fd_variant", str),
+    "fd.gamma": ("fd_gamma", float),
+    "pvdf.mode": ("pvdf.mode", str),
+    "pvdf.alpha": ("pvdf.alpha", float),
+    "pvdf.beta": ("pvdf.beta", float),
+    "pvdf.mu": ("pvdf.mu", float),
+    "pvdf.eta_r": ("pvdf.eta_r", float),
+    "pvdf.lambda_r": ("pvdf.lambda_r", float),
+    "pvdf.eta_c": ("pvdf.eta_c", float),
+    "pvdf.lambda_c": ("pvdf.lambda_c", float),
+    "due.max_iters": ("max_iters", int),
+    "due.gap_tol": ("gap_tol", float),
+    "ltm.effective_storage": ("effective_storage", _boolean),
+    "debug.node_trace": ("node_trace", _boolean),
+    "paths.max_paths": ("max_paths", int),
+    "paths.detour": ("detour", float),
+    "paths.enumerate": ("enumerate_paths", _boolean),
+    "penalty": ("penalties", LinkPenalty.parse),
+}
+# The bidirectional bump, which the symmetric mode ignores and config.cfg then leaves out.
+_BUMP = ("pvdf.mu", "pvdf.eta_r", "pvdf.lambda_r", "pvdf.eta_c", "pvdf.lambda_c")
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    values: dict[str, str] = {}
-    penalties: list[LinkPenalty] = []
+    fields: dict[str, object] = {}
+    unknown = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,67 +129,25 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "penalty":
-            penalties.append(_parse_penalty(value, lineno))
-        else:
-            values[key] = value
-
-    def take(key, cast, default):
-        if key not in values:
-            return default
-        raw = values.pop(key)
+        if key not in KEYS:
+            unknown.append(key)
+            continue
+        field_name, parser = KEYS[key]
         try:
-            return cast(raw)
+            parsed = parser(value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-    def boolean(raw: str) -> bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(raw)
-
-    pvdf = PvdfParams(
-        alpha=take("pvdf.alpha", float, 0.5),
-        beta=take("pvdf.beta", float, 2.0),
-        mode=take("pvdf.mode", str, "symmetric"),
-        mu=take("pvdf.mu", float, 0.0),
-        eta_r=take("pvdf.eta_r", float, 0.0),
-        lambda_r=take("pvdf.lambda_r", float, 0.0),
-        eta_c=take("pvdf.eta_c", float, 0.0),
-        lambda_c=take("pvdf.lambda_c", float, 0.0),
-    )
-    cfg = ScenarioConfig(
-        dt=take("time.dt", float, 1.0),
-        horizon=take("time.horizon", float, 120.0),
-        fd_variant=take("fd.variant", str, "logistic"),
-        fd_gamma=take("fd.gamma", float, None),
-        pvdf=pvdf,
-        max_iters=take("due.max_iters", int, 50),
-        gap_tol=take("due.gap_tol", float, 0.01),
-        effective_storage=take("ltm.effective_storage", boolean, False),
-        penalties=tuple(penalties),
-        node_trace=take("debug.node_trace", boolean, True),
-        max_paths=take("paths.max_paths", int, 12),
-        detour=take("paths.detour", float, 1.0),
-        enumerate_paths=take("paths.enumerate", boolean, True),
-    )
-    if values:
-        raise ConfigError(f"unknown config keys: {sorted(values)}")
-    return cfg
-
-
-def _parse_penalty(value: str, lineno: int) -> LinkPenalty:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if key == "penalty":
+            parsed = fields.get(field_name, ()) + (parsed,)
+        fields[field_name] = parsed
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(set(unknown))}")
+    pvdf = {name.removeprefix("pvdf."): fields.pop(name) for name in list(fields) if name.startswith("pvdf.")}
     try:
-        ref, _, rest = value.partition("@")
-        start, _, cost = rest.partition(":")
-        return LinkPenalty(link_ref=ref.strip(), start_s=float(start), added_cost_s=float(cost))
+        fields["pvdf"] = PvdfParams(**pvdf)
     except ValueError as exc:
-        raise ConfigError(
-            f"line {lineno}: penalty must look like '<link>@<start_s>:<added_cost_s>', got {value!r}"
-        ) from exc
+        raise ConfigError(f"pvdf.{exc}") from exc
+    return ScenarioConfig(**fields)
 
 
 def read_config(path) -> ScenarioConfig:
@@ -155,37 +156,18 @@ def read_config(path) -> ScenarioConfig:
 
 
 def write_config(cfg: ScenarioConfig, path) -> None:
-    lines = [
-        f"time.dt = {cfg.dt:.10g}",
-        f"time.horizon = {cfg.horizon:.10g}",
-        f"fd.variant = {cfg.fd_variant}",
-    ]
-    if cfg.fd_gamma is not None:
-        lines.append(f"fd.gamma = {cfg.fd_gamma:.10g}")
-    p = cfg.pvdf
-    lines += [
-        f"pvdf.mode = {p.mode}",
-        f"pvdf.alpha = {p.alpha:.10g}",
-        f"pvdf.beta = {p.beta:.10g}",
-    ]
-    if p.mode == "asymmetric":
-        lines += [
-            f"pvdf.mu = {p.mu:.10g}",
-            f"pvdf.eta_r = {p.eta_r:.10g}",
-            f"pvdf.lambda_r = {p.lambda_r:.10g}",
-            f"pvdf.eta_c = {p.eta_c:.10g}",
-            f"pvdf.lambda_c = {p.lambda_c:.10g}",
-        ]
-    lines += [
-        f"due.max_iters = {cfg.max_iters}",
-        f"due.gap_tol = {cfg.gap_tol:.10g}",
-        f"ltm.effective_storage = {str(cfg.effective_storage).lower()}",
-        f"debug.node_trace = {str(cfg.node_trace).lower()}",
-        f"paths.max_paths = {cfg.max_paths}",
-        f"paths.detour = {cfg.detour:.10g}",
-        f"paths.enumerate = {str(cfg.enumerate_paths).lower()}",
-    ]
-    for pen in cfg.penalties:
-        lines.append(f"penalty = {pen.link_ref}@{pen.start_s:.10g}:{pen.added_cost_s:.10g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def rows():
+        for key, (field_name, _) in KEYS.items():
+            value = attrgetter(field_name)(cfg)
+            if value is None or (key in _BUMP and cfg.pvdf.mode == "symmetric"):
+                continue
+            for item in value if key == "penalty" else (value,):
+                yield f"{key} = {_text(item)}"
+
+    write_table(path, None, rows())
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.10g}" if isinstance(value, float) else str(value)

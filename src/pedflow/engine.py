@@ -14,7 +14,8 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -33,6 +34,7 @@ from .network import (
     TimeGrid,
     write_demand,
     write_network,
+    write_table,
 )
 
 
@@ -69,15 +71,17 @@ def run_scenario(cfg: ScenarioConfig, network: Network, demand: DemandProfile, o
     write_network(network, out / "network.net")
     write_demand(demand, out / "demand.dem")
     write_config(cfg, out / "config.cfg")
-    _write_curves(result, out / "cumulative_curves.csv")
-    _write_link_state(cfg, result, out / "link_state.csv")
+    _write_link_table(result, out / "cumulative_curves.csv", "link,t,U,V", [result.U, result.V])
+    _write_link_state(result, out / "link_state.csv")
     if cfg.node_trace:
         _write_node_trace(result, out / "node_trace.csv")
     _write_path_flows(state, out / "path_flows.csv")
-    _write_gap(report, out / "gap.csv")
-    _write_route_times(cfg, state, result, out / "route_times.csv")
+    gaps = (f"{i},{_fmt(g)}" for i, g in enumerate(report.rel_gaps, start=1))
+    write_table(out / "gap.csv", "iteration,rel_gap", gaps)
+    _write_route_times(state, result, out / "route_times.csv")
 
-    conservation = result.conservation_violations()
+    trips = {"demanded": result.demanded, "loaded": result.loaded, "completed": result.completed,
+             "in_network_at_end": result.in_network(), "queued_at_origins": result.queued}
     summary = {
         "results": {
             "n_nodes": len(network.nodes),
@@ -89,26 +93,14 @@ def run_scenario(cfg: ScenarioConfig, network: Network, demand: DemandProfile, o
             "final_rel_gap": report.rel_gaps[-1] if report.rel_gaps else 0.0,
             "rel_gaps": list(report.rel_gaps),
             "trips": {
-                "demanded": float(result.demanded.sum()),
-                "loaded": float(result.loaded.sum()),
-                "completed": float(result.completed.sum()),
-                "in_network_at_end": float(result.in_network().sum()),
-                "queued_at_origins": float(result.queued.sum()),
-                "per_destination": {
-                    str(d): {
-                        "demanded": float(result.demanded[i]),
-                        "loaded": float(result.loaded[i]),
-                        "completed": float(result.completed[i]),
-                        "in_network_at_end": float(result.in_network()[i]),
-                        "queued_at_origins": float(result.queued[i]),
-                    }
-                    for i, d in enumerate(result.destinations)
-                },
+                **{name: float(v.sum()) for name, v in trips.items()},
+                "per_destination": {str(d): {name: float(v[i]) for name, v in trips.items()}
+                                    for i, d in enumerate(result.destinations)},
             },
             "diagnostics": {
                 "supply_clamps": result.supply_clamps,
                 "unroutable": result.unroutable,
-                "conservation_violations": conservation,
+                "conservation_violations": result.conservation_violations(),
             },
         },
     }
@@ -326,15 +318,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_matrix(ts: TimeSpaceMatrix, values: np.ndarray, path, network: Network) -> None:
-    n_bins = values.shape[1]
-    header = "segment,x_start_m,x_end_m," + ",".join(_fmt(b * ts.dt) for b in range(n_bins))
-    lines = [header]
-    for s, lid in enumerate(ts.link_ids):
-        link = network.links[lid]
-        row = ",".join(_fmt(v) for v in values[s])
-        lines.append(f"{link.from_node}-{link.to_node},{_fmt(ts.x_edges[s])},{_fmt(ts.x_edges[s + 1])},{row}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "segment,x_start_m,x_end_m," + ",".join(_fmt(b * ts.dt) for b in range(values.shape[1]))
+    row = _row_format(values.shape[1] + 2)
+    edges, links = ts.x_edges.tolist(), [network.links[lid] for lid in ts.link_ids]
+    rows = (row(f"{l.from_node}-{l.to_node}", edges[s], edges[s + 1], *values[s].tolist())
+            for s, l in enumerate(links))
+    write_table(path, header, rows)
 
 
 def _row_format(n_values: int):
@@ -342,78 +331,63 @@ def _row_format(n_values: int):
     return ("{}" + ",{:.10g}" * n_values).format
 
 
-def _write_curves(result, path) -> None:
-    dt = result.grid.dt
-    times = [b * dt for b in range(result.grid.n_bins + 1)]
-    row = _row_format(3)
-    with open(path, "w") as fh:
-        fh.write("link,t,U,V\n")
-        for i, lid in enumerate(result.link_order):  # a link at a time, so the whole file is never held
-            fh.write("\n".join(map(row, repeat(lid), times, result.U[i].tolist(), result.V[i].tolist())) + "\n")
+def _write_link_table(result, path, header: str, columns: list[np.ndarray]) -> None:
+    """One row per link and instant of the (link row, instant) arrays in columns,
+    formatted and written a link at a time, so the whole file is never held."""
+    times = [b * result.grid.dt for b in range(columns[0].shape[1])]
+    row = _row_format(len(columns) + 1)
+    chunks = ("\n".join(map(row, repeat(lid), times, *(c[i].tolist() for c in columns)))
+              for i, lid in enumerate(result.link_order))
+    write_table(path, header, chunks)
 
 
-def _write_link_state(cfg: ScenarioConfig, result, path) -> None:
-    dt = result.grid.dt
+def _write_link_state(result, path) -> None:
     arrays = result.network.arrays
     k, rho = result.densities()
-    vhat = effective_speed_profile(arrays.v_f[:, None], rho, cfg.fd_variant, cfg.fd_gamma)
-    q = np.diff(result.V, axis=1) / dt / arrays.width[:, None]
-    times = [b * dt for b in range(result.grid.n_bins)]
-    row = _row_format(5)
-    with open(path, "w") as fh:
-        fh.write("link,t,k,q,rho,vhat\n")
-        for i, lid in enumerate(result.link_order):  # a link at a time, so the whole file is never held
-            rows = map(row, repeat(lid), times, k[i].tolist(), q[i].tolist(), rho[i].tolist(), vhat[i].tolist())
-            fh.write("\n".join(rows) + "\n")
+    vhat = effective_speed_profile(arrays.v_f[:, None], rho, result.fd_variant, result.fd_gamma)
+    q = np.diff(result.V, axis=1) / result.grid.dt / arrays.width[:, None]
+    _write_link_table(result, path, "link,t,k,q,rho,vhat", [k, q, rho, vhat])
 
 
 def _write_node_trace(result, path) -> None:
-    lines = ["node,t,in,out,S_ij,R_j,S_tilde_j,q_ij"]
-    for node, t, in_key, out_key, s_ij, r_j, s_tilde, q_ij in result.node_trace:
+    def row(node, t, in_key, out_key, s_ij, r_j, s_tilde, q_ij):
         in_label = "origin" if in_key < 0 else str(in_key)
         out_label = "sink" if out_key < 0 else str(out_key)
-        r_label = "inf" if math.isinf(r_j) else _fmt(r_j)
-        lines.append(
-            f"{node},{_fmt(t)},{in_label},{out_label},{_fmt(s_ij)},{r_label},"
-            f"{_fmt(s_tilde)},{_fmt(q_ij)}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        return f"{node},{_fmt(t)},{in_label},{out_label},{_fmt(s_ij)},{_fmt(r_j)},{_fmt(s_tilde)},{_fmt(q_ij)}"
+
+    # a step's records at a time, so the whole file is never held
+    steps = groupby(result.node_trace, key=itemgetter(1))
+    write_table(path, "node,t,in,out,S_ij,R_j,S_tilde_j,q_ij",
+                ("\n".join(row(*rec) for rec in records) for _, records in steps))
 
 
 def _write_path_flows(state, path) -> None:
-    lines = ["origin,destination,path_id,nodes,depart_s,flow_pps"]
-    for od in state.ods:
-        for row, p in enumerate(state.paths[od]):
-            nodes = "-".join(str(n) for n in p.nodes(state.network))
-            for pos, k in enumerate(state.k_bins[od]):
-                lines.append(
-                    f"{od[0]},{od[1]},{row},{nodes},{_fmt(k * state.grid.dt)},"
-                    f"{_fmt(state.flows[od][row, pos])}"
-                )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    dt = state.grid.dt
+
+    def rows():
+        for od in state.ods:
+            for row, p in enumerate(state.paths[od]):
+                nodes = "-".join(str(n) for n in p.nodes(state.network))
+                for pos, k in enumerate(state.k_bins[od]):
+                    yield f"{od[0]},{od[1]},{row},{nodes},{_fmt(k * dt)},{_fmt(state.flows[od][row, pos])}"
+
+    write_table(path, "origin,destination,path_id,nodes,depart_s,flow_pps", rows())
 
 
-def _write_gap(report, path) -> None:
-    lines = ["iteration,rel_gap"]
-    for i, g in enumerate(report.rel_gaps, start=1):
-        lines.append(f"{i},{_fmt(g)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_route_times(cfg: ScenarioConfig, state, result, path) -> None:
+def _write_route_times(state, result, path) -> None:
     dt = state.grid.dt
     trips = [(od, row, pos, k) for od in state.ods for row in range(len(state.paths[od]))
              for pos, k in enumerate(state.k_bins[od])]
     experienced = pvdf.experienced_route_times([state.link_rows[od][row] for od, row, _, _ in trips],
-                                               [k * dt for *_, k in trips], result.fd_travel_times, cfg.horizon)
-    lines = ["origin,destination,path_id,depart_s,instantaneous_s,experienced_s"]
-    for (od, row, pos, k), exp in zip(trips, experienced.tolist()):
+                                               [k * dt for *_, k in trips], result.fd_travel_times,
+                                               result.grid.horizon)
+
+    def row(trip, exp):
+        od, path_id, pos, k = trip
         pt = state.path_times.get(od)
-        inst = pt[row, pos] if pt is not None else float("nan")
+        inst = pt[path_id, pos] if pt is not None else math.nan
         exp_label = "incomplete" if math.isnan(exp) else _fmt(exp)
-        lines.append(f"{od[0]},{od[1]},{row},{_fmt(k * dt)},{_fmt(inst)},{exp_label}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        return f"{od[0]},{od[1]},{path_id},{_fmt(k * dt)},{_fmt(inst)},{exp_label}"
+
+    write_table(path, "origin,destination,path_id,depart_s,instantaneous_s,experienced_s",
+                map(row, trips, experienced.tolist()))

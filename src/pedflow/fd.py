@@ -44,15 +44,24 @@ class FDParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.k_jam <= 0:
             raise ValueError(f"k_jam must be positive, got {self.k_jam}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "power":
-            if self.gamma is None:
-                raise ValueError("power variant requires gamma")
-            if self.gamma < 0:
-                raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        elif self.gamma is not None:
-            raise ValueError("gamma is only meaningful for the power variant")
+        check_speed_law(self.variant, self.gamma)
+
+
+def check_speed_law(variant: str, gamma: float | None) -> None:
+    """Raise ValueError unless (variant, gamma) names a speed-degradation law.
+
+    Each message opens with the name of the offending value, "variant" or
+    "gamma", so a caller can prefix it with its own key.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant == "power":
+        if gamma is None:
+            raise ValueError("gamma is required by the power variant")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    elif gamma is not None:
+        raise ValueError("gamma is only meaningful for the power variant")
 
 
 @dataclass(frozen=True)
@@ -167,11 +176,10 @@ def effective_speed_profile(
     below empty) reads as 0 in the power variant, where rho**gamma of a
     negative ratio would be NaN.
     """
+    check_speed_law(variant, gamma)
     rho = np.asarray(rho, dtype=float)
     if variant == "logistic":
         return v_f * np.exp(rho - 1.0)
-    if gamma is None:
-        raise ValueError("power variant requires gamma")
     return np.maximum(rho, 0.0) ** gamma * v_f
 
 

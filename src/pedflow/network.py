@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,9 +111,6 @@ class TimeGrid:
         if abs(b - round(b)) > 1e-9:
             raise ValueError(f"instant {t} is not on the {self.dt}-second grid")
         return int(round(b))
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_bins + 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -484,79 +482,77 @@ def enumerate_paths(
 # file I/O
 
 
-def write_network(network: Network, path) -> None:
-    lines = [NET_HEADER]
-    for nid in sorted(network.nodes):
-        n = network.nodes[nid]
-        lines.append(f"node,{n.id},{n.x:.10g},{n.y:.10g},{n.kind}")
-    for lid in sorted(network.links):
-        l = network.links[lid]
-        opp = l.opposite if l.opposite is not None else "-"
-        lines.append(
-            f"link,{l.id},{l.from_node},{l.to_node},{l.length:.10g},{l.width:.10g},"
-            f"{l.v_f:.10g},{l.k_jam:.10g},{l.omega:.10g},{l.capacity:.10g},{opp}"
-        )
+def write_table(path, header: str | None, chunks: Iterable[str]) -> None:
+    """Write the header line, if any, then each chunk of one or more lines.
+
+    A chunk is written as soon as it is produced, so a writer that yields a
+    file piece by piece never holds all of it.
+    """
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for chunk in chunks:
+            fh.write(chunk + "\n")
+
+
+def write_network(network: Network, path) -> None:
+    nodes = (f"node,{n.id},{n.x:.10g},{n.y:.10g},{n.kind}" for _, n in sorted(network.nodes.items()))
+    links = (
+        f"link,{l.id},{l.from_node},{l.to_node},{l.length:.10g},{l.width:.10g},{l.v_f:.10g},"
+        f"{l.k_jam:.10g},{l.omega:.10g},{l.capacity:.10g},{'-' if l.opposite is None else l.opposite}"
+        for _, l in sorted(network.links.items())
+    )
+    write_table(path, NET_HEADER, chain(nodes, links))
+
+
+def _read_records(path, header: str, parse) -> list:
+    """parse(fields) of every record after the header; blank and # lines are skipped,
+    and an error names the record's physical line."""
+    with open(path) as fh:
+        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1)]
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    if not lines or lines[0][1] != header:
+        raise NetworkFormatError(f"{path}: expected header {header!r}")
+    records = []
+    for i, line in lines[1:]:
+        try:
+            records.append(parse([p.strip() for p in line.split(",")]))
+        except (ValueError, IndexError) as exc:
+            raise NetworkFormatError(f"{path}:{i}: {exc}") from exc
+    return records
+
+
+def _network_record(parts: list[str]) -> Node | Link:
+    if parts[0] == "node":
+        if len(parts) != 5:
+            raise ValueError("node record needs 5 fields")
+        return Node(int(parts[1]), float(parts[2]), float(parts[3]), parts[4])
+    if parts[0] != "link":
+        raise ValueError(f"unknown record type {parts[0]!r}")
+    if len(parts) != 11:
+        raise ValueError("link record needs 11 fields")
+    length, width = float(parts[4]), float(parts[5])
+    v_f, k_jam, omega = float(parts[6]), float(parts[7]), float(parts[8])
+    cap = default_capacity(length, width, v_f, k_jam, omega) if parts[9] == "-" else float(parts[9])
+    opp = None if parts[10] == "-" else int(parts[10])
+    return Link(int(parts[1]), int(parts[2]), int(parts[3]), length, width, v_f, k_jam, omega, cap, opp)
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line and not line.startswith("#")]
-    if not lines or lines[0] != NET_HEADER:
-        raise NetworkFormatError(f"{path}: expected header {NET_HEADER!r}")
-    nodes, links = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            if parts[0] == "node":
-                if len(parts) != 5:
-                    raise ValueError("node record needs 5 fields")
-                nodes.append(Node(int(parts[1]), float(parts[2]), float(parts[3]), parts[4]))
-            elif parts[0] == "link":
-                if len(parts) != 11:
-                    raise ValueError("link record needs 11 fields")
-                length, width = float(parts[4]), float(parts[5])
-                v_f, k_jam, omega = float(parts[6]), float(parts[7]), float(parts[8])
-                cap = (
-                    default_capacity(length, width, v_f, k_jam, omega)
-                    if parts[9] == "-"
-                    else float(parts[9])
-                )
-                opp = None if parts[10] == "-" else int(parts[10])
-                links.append(
-                    Link(int(parts[1]), int(parts[2]), int(parts[3]), length, width,
-                         v_f, k_jam, omega, cap, opp)
-                )
-            else:
-                raise ValueError(f"unknown record type {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise NetworkFormatError(f"{path}:{i}: {exc}") from exc
-    return Network(nodes, links)
+    records = _read_records(path, NET_HEADER, _network_record)
+    return Network([r for r in records if isinstance(r, Node)], [r for r in records if isinstance(r, Link)])
 
 
 def write_demand(demand: DemandProfile, path) -> None:
-    lines = [DEM_HEADER]
-    for e in demand.entries:
-        lines.append(f"od,{e.origin},{e.destination},{e.depart_s:.10g},{e.rate:.10g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (f"od,{e.origin},{e.destination},{e.depart_s:.10g},{e.rate:.10g}" for e in demand.entries)
+    write_table(path, DEM_HEADER, rows)
+
+
+def _demand_record(parts: list[str]) -> DemandEntry:
+    if parts[0] != "od" or len(parts) != 5:
+        raise ValueError("demand record must be od,<origin>,<destination>,<depart_s>,<rate_pps>")
+    return DemandEntry(int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
 
 
 def load_demand(path) -> DemandProfile:
-    with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line and not line.startswith("#")]
-    if not lines or lines[0] != DEM_HEADER:
-        raise NetworkFormatError(f"{path}: expected header {DEM_HEADER!r}")
-    demand = DemandProfile()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            if parts[0] != "od" or len(parts) != 5:
-                raise ValueError("demand record must be od,<origin>,<destination>,<depart_s>,<rate_pps>")
-            demand.add(int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
-        except (ValueError, IndexError) as exc:
-            raise NetworkFormatError(f"{path}:{i}: {exc}") from exc
-    return demand
+    return DemandProfile(_read_records(path, DEM_HEADER, _demand_record))

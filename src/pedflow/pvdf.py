@@ -48,11 +48,9 @@ class PvdfParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mu < 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.eta_r > 0 or self.eta_c > 0:
-            raise ValueError(
-                "eta_r and eta_c must be <= 0 for a bounded bidirectional term, "
-                f"got ({self.eta_r}, {self.eta_c})"
-            )
+        for name in ("eta_r", "eta_c"):
+            if getattr(self, name) > 0:
+                raise ValueError(f"{name} must be <= 0 for a bounded bidirectional term, got {getattr(self, name)}")
 
 
 def link_cost(link, params: PvdfParams, u: float, u_opp: float) -> float:

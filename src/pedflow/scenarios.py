@@ -40,19 +40,18 @@ def _pair(link_id: int, a: int, b: int, length: float, width: float,
     return fwd, bwd
 
 
+def _kind(nid: int, origins, destinations) -> str:
+    if nid in origins:
+        return "origin-centroid"
+    return "destination-centroid" if nid in destinations else "plain"
+
+
 def make_grid_network(n: int = 3, length: float = DEFAULT_LENGTH, width: float = DEFAULT_WIDTH,
                       origins=(), destinations=()) -> Network:
     """n x n lattice of bidirectional sidewalk segments, nodes numbered row-major from 1."""
-    nodes = []
-    for row in range(n):
-        for col in range(n):
-            nid = row * n + col + 1
-            kind = "plain"
-            if nid in origins:
-                kind = "origin-centroid"
-            elif nid in destinations:
-                kind = "destination-centroid"
-            nodes.append(Node(nid, x=col * length, y=-row * length, kind=kind))
+    nodes = [Node(row * n + col + 1, x=col * length, y=-row * length,
+                  kind=_kind(row * n + col + 1, origins, destinations))
+             for row in range(n) for col in range(n)]
     links = []
     next_id = 1
     for row in range(n):
@@ -71,15 +70,8 @@ def make_corridor_network(segments: int = 9, length: float = DEFAULT_LENGTH,
                           width: float = DEFAULT_WIDTH, bottleneck_segment: int | None = None,
                           bottleneck_width: float = 1.0, origins=(), destinations=()) -> Network:
     """Straight chain of bidirectional segments, nodes numbered 1..segments+1."""
-    nodes = []
-    for i in range(segments + 1):
-        nid = i + 1
-        kind = "plain"
-        if nid in origins:
-            kind = "origin-centroid"
-        elif nid in destinations:
-            kind = "destination-centroid"
-        nodes.append(Node(nid, x=i * length, y=0.0, kind=kind))
+    nodes = [Node(i + 1, x=i * length, y=0.0, kind=_kind(i + 1, origins, destinations))
+             for i in range(segments + 1)]
     links = []
     next_id = 1
     for i in range(segments):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -210,3 +211,97 @@ class TestRouteTimesExport:
             parts = line.split(",")
             assert float(parts[4]) > 0
             assert parts[5] == "incomplete" or float(parts[5]) > 0
+
+
+# SHA-256 of every run-directory file of presets 1-6 at their shipped configs;
+# summary.json is hashed without its timing block, which holds the wall clock.
+RUN_DIRECTORY_SHA256 = {
+    1: {
+        "config.cfg": "ad7afc902fc468953d002c29a9f1835b5450e0a30b1f084082bf660ec9a3b5a5",
+        "cumulative_curves.csv": "9b103137aa53f8cb045be5fb69d909369a67e61331e68429cf3b716a4c8bed5f",
+        "demand.dem": "3a5afdede68695965b9fd2ce47cd1e2fd1c7c3949a7fd5f2989665670d32d062",
+        "gap.csv": "7892f027620929779d8841f1134b347982e9aacfe407fb0456f89c563c2df171",
+        "link_state.csv": "b599053a38532c939d9c75c3bdc0836744a82031f7cbd3e0ad65e74694372594",
+        "network.net": "6c6bb115b8fc917271cf1f3618a8e1ff9aa7ac7d88d4f6c7cd87508f4a43f3a3",
+        "node_trace.csv": "25471ce8a3bd79b5db1d1f50b85a67eb879ff0b23b0ba8b85ef16b3e0df414b2",
+        "path_flows.csv": "062dd3a0d544d7bbf9d3d6acbf68c8e57c405bdedda98e256bbd80a0bf588abe",
+        "route_times.csv": "8128f0ee0da296a63af89e0b1ff4325f71b748216f9d60e24b078f098b70f8f7",
+        "summary.json": "d99de4d3c22e74a3341e8a661d5c15622388b79da917362118a954352fda6313",
+    },
+    2: {
+        "config.cfg": "ad7afc902fc468953d002c29a9f1835b5450e0a30b1f084082bf660ec9a3b5a5",
+        "cumulative_curves.csv": "245b02421fec5abfe2f242067f0aee28b1fc4f07a18e04c566a2180ec879a30f",
+        "demand.dem": "edf1e4a5c47d05382beb82cdc1203adf28196143c7b1d978f4cfe5218f045fca",
+        "gap.csv": "c277ab4f69b4b13fcfda83c5de25e0b51236dde58ef4cb5e21f56ca1e1b4999a",
+        "link_state.csv": "43fed7d70ef4f40c2006fcce4bf69a76ffbe955074afb9ec6021d7ecb943cc00",
+        "network.net": "2b18de74b90141146400b8f201da21112a891901d9bb199ebf8386defe4bfdb5",
+        "node_trace.csv": "bbbc4e5ff038e8a600767ff16effb69395517f439b4ada1fabfd9f19faafdeb9",
+        "path_flows.csv": "75e760333ba2fa6359d6010517ab7915d84a1ff209a5b323f08682771128d42d",
+        "route_times.csv": "08d3009d951547d002cb4df289fb37a8023447196431088833c3e1a8cf169cac",
+        "summary.json": "235fe362f4f7ee6f90e08a8288705eb87065abc8c440033629fa5880ad979283",
+    },
+    3: {
+        "config.cfg": "851d02743b22e8f91da7c7cb2f3a172d3ac17987074c7f408f9780cc643ed08f",
+        "cumulative_curves.csv": "9b103137aa53f8cb045be5fb69d909369a67e61331e68429cf3b716a4c8bed5f",
+        "demand.dem": "3a5afdede68695965b9fd2ce47cd1e2fd1c7c3949a7fd5f2989665670d32d062",
+        "gap.csv": "7892f027620929779d8841f1134b347982e9aacfe407fb0456f89c563c2df171",
+        "link_state.csv": "b599053a38532c939d9c75c3bdc0836744a82031f7cbd3e0ad65e74694372594",
+        "network.net": "6c6bb115b8fc917271cf1f3618a8e1ff9aa7ac7d88d4f6c7cd87508f4a43f3a3",
+        "node_trace.csv": "25471ce8a3bd79b5db1d1f50b85a67eb879ff0b23b0ba8b85ef16b3e0df414b2",
+        "path_flows.csv": "062dd3a0d544d7bbf9d3d6acbf68c8e57c405bdedda98e256bbd80a0bf588abe",
+        "route_times.csv": "ee871ecffc8a89170cba355866d35ffe0b688bac9f247bdf0bd41d4276a85af9",
+        "summary.json": "d99de4d3c22e74a3341e8a661d5c15622388b79da917362118a954352fda6313",
+    },
+    4: {
+        "config.cfg": "cf3a18dfc088058a38e1789366c197fcfa9aba5967d6230b0ac18b8f81948bf5",
+        "cumulative_curves.csv": "cc22229116fdae3cf6966dc9167c2c1ab91a23c4c0650468fb1693a94bddcdd2",
+        "demand.dem": "d19fd1f3ce6e10fd896771dbf8ec807ca66f81a3d2843405e305a27e3359c41f",
+        "gap.csv": "e788eb27a4297534f4f3a51923041363c78862b41116e7ba89036611fd2fc974",
+        "link_state.csv": "b8cbd7663f25ace0b9844c6927dfc0e6f4d1e1ad2ab30e549a8c3ac8340d9756",
+        "network.net": "93e3fe122d1065359cad8d678feb25565602b2cde755aecc7a0f6ecf491e5929",
+        "node_trace.csv": "85f037101a101faf256789d4d22c684813fdb6fc324c18ba23ed2b70ed9792e7",
+        "path_flows.csv": "181e96300b158d8c789e2e660ae1101d855b586698033e08f22759fb500cbdcb",
+        "route_times.csv": "3459ca8d21015f99c1c4bcbfb653452a827b124a213f76fb4b4fa9697876ffe0",
+        "summary.json": "16c14cf647c2da2c7f4bc88b08586263dc8143d7047d3ca84f7ac8de10b5b7f5",
+    },
+    5: {
+        "config.cfg": "296d274e4b926302d26dd839d70d5b20c6e09f724aed194390940a3ffc2628fa",
+        "cumulative_curves.csv": "ad9dd78f94337e9a1be7e55da3c1f559199316410d8cf404b0eaa0b486fdae71",
+        "demand.dem": "80342db2c8d778e993eba1a89ec6c3758d7dc47167df8f4b84d546df1458ed14",
+        "gap.csv": "e788eb27a4297534f4f3a51923041363c78862b41116e7ba89036611fd2fc974",
+        "link_state.csv": "e44e54330ab8e145575b8418484ca4d587091891b1e8f769ad4debc1de701d3e",
+        "network.net": "f4445090bf97578d8dc9e45a7b04f2895583b961058cbd1fcc1d8effede59199",
+        "node_trace.csv": "b763a4d41d6f5f651eb8448c39e12bfd4c6ae0c6c8ef93a6316d296ef4782afe",
+        "path_flows.csv": "899a3f9560d84dc78a66c5c0e10abb5c6186837e1941abd75adfd636b869d150",
+        "route_times.csv": "8f3ce5ca28c82240a61210d1bf177c492c40e840f401f2df4d40cb4945013e82",
+        "summary.json": "b0867c8a9dd4f0095aeac6260f5bb544d7235ded6d48bc702147694a0b051add",
+    },
+    6: {
+        "config.cfg": "296d274e4b926302d26dd839d70d5b20c6e09f724aed194390940a3ffc2628fa",
+        "cumulative_curves.csv": "e5a0b40af34abbd74d1a675030ea76c91e10bd912798eb06a9c8c05615d8cb53",
+        "demand.dem": "113c17ca501bbb3a23ba8e35534be96cb1ebac5a06806965cdd9af0317925261",
+        "gap.csv": "e788eb27a4297534f4f3a51923041363c78862b41116e7ba89036611fd2fc974",
+        "link_state.csv": "4e5e11acb8536e8e644fbcdb65b43689c53cf964b63480cc37a38dff39c31039",
+        "network.net": "f4445090bf97578d8dc9e45a7b04f2895583b961058cbd1fcc1d8effede59199",
+        "node_trace.csv": "7d3ea581ab08f79fbcc2c7a331e3f4351cac86214ae2d13150a7967dc9499401",
+        "path_flows.csv": "b465263ca243c107c26291851c4013edb1a345ad4ec6df2d91600adb1d4acc4c",
+        "route_times.csv": "92e49c54f11fc73447d9804bcab1618e61f91a85ed8d4dfe1e59cf0b823884bf",
+        "summary.json": "c9a51873259a149d77a42c2ef146bac89a528b7022e50e222f6ead0c8087cca6",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(RUN_DIRECTORY_SHA256))
+def test_preset_run_directory_is_byte_identical(preset, tmp_path):
+    scenario = generate_grid_scenario if preset <= 3 else generate_corridor_scenario
+    net, demand, cfg = scenario(preset=preset)
+    run_scenario(cfg, net, demand, tmp_path)
+    digests = {}
+    for f in sorted(tmp_path.iterdir()):
+        data = f.read_bytes()
+        if f.name == "summary.json":
+            summary = json.loads(data)
+            del summary["timing"]
+            data = json.dumps(summary, indent=2, sort_keys=True).encode()
+        digests[f.name] = hashlib.sha256(data).hexdigest()
+    assert digests == RUN_DIRECTORY_SHA256[preset]

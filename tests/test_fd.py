@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pedflow.config import ConfigError, ScenarioConfig
 from pedflow.fd import (
     FDParams,
     FDState,
@@ -17,6 +18,26 @@ from pedflow.fd import (
 
 LOGISTIC = FDParams(v_f=1.5, omega=0.5, k_jam=5.4)
 POWER = FDParams(v_f=1.5, omega=0.5, k_jam=5.4, variant="power", gamma=1.0)
+
+
+class TestSpeedLaw:
+    @pytest.mark.parametrize("variant, gamma, key", [
+        ("Logistic", 1.0, "fd.variant"),
+        ("logistc", None, "fd.variant"),
+        ("power", -2.0, "fd.gamma"),
+        ("power", math.nan, "fd.gamma"),
+        ("power", None, "fd.gamma"),
+        ("logistic", 1.0, "fd.gamma"),
+    ])
+    def test_params_and_config_share_one_rule(self, variant, gamma, key):
+        with pytest.raises(ValueError):
+            FDParams(v_f=1.5, omega=0.5, k_jam=5.4, variant=variant, gamma=gamma)
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig(fd_variant=variant, fd_gamma=gamma)
+
+    def test_profile_rejects_an_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant"):
+            effective_speed_profile(1.5, np.array([0.5]), "Logistic", 1.0)
 
 
 class TestDensityRatio:

@@ -342,3 +342,13 @@ class TestFileFormats:
         path.write_text("pedflow-net v1\nnode,1,0,0\n")
         with pytest.raises(NetworkFormatError, match=":2:"):
             load_network(path)
+
+    def test_errors_report_the_physical_line(self, tmp_path):
+        net = tmp_path / "net.net"
+        net.write_text("# sidewalks\npedflow-net v1\n\nnode,1,0,0,plain\n# two\nlink,1,1,2,x,4,1.5,5.4,0.5,-,-\n")
+        with pytest.raises(NetworkFormatError, match=":6:"):
+            load_network(net)
+        dem = tmp_path / "demand.dem"
+        dem.write_text("pedflow-dem v1\n\n# morning\nod,1,9,0,fast\n")
+        with pytest.raises(NetworkFormatError, match=":4:"):
+            load_demand(dem)
