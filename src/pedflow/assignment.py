@@ -101,7 +101,6 @@ class AssignmentState:
         self.path_times: dict[tuple[int, int], np.ndarray] = {}
         self.shortest_times: dict[tuple[int, int], np.ndarray] = {}
         self.iteration = 0
-        self.gap_history: list[float] = []
         self.costs: np.ndarray | None = None
         self.loading = None
 
@@ -117,19 +116,22 @@ class AssignmentState:
             self.flows[od] = np.vstack([self.flows[od], np.zeros((1, self.flows[od].shape[1]))])
         return row
 
+    def trips(self):
+        """Yield (od, path row, departure position, departure bin) for every path and departure."""
+        for od in self.ods:
+            for row in range(len(self.paths[od])):
+                for pos, k in enumerate(self.k_bins[od]):
+                    yield od, row, pos, k
+
     def path_flow_items(self):
         """Yield (path, departure bin, flow) for every positive path flow."""
-        for od in self.ods:
-            flows = self.flows[od]
-            bins = self.k_bins[od]
-            for row, path in enumerate(self.paths[od]):
-                for pos, k in enumerate(bins):
-                    f = flows[row, pos]
-                    if f > 1e-12:
-                        yield path, k, float(f)
+        for od, row, pos, k in self.trips():
+            f = self.flows[od][row, pos]
+            if f > 1e-12:
+                yield self.paths[od][row], k, float(f)
 
 
-def update_flows(state: AssignmentState, aon_paths: dict, iteration: int) -> dict:
+def update_flows(state: AssignmentState, aon_paths: dict, iteration: int) -> None:
     """Blend the all-or-nothing loading into the path flows with a 1/n step.
 
     aon_paths maps od -> list of Path aligned with that od's departure bins.
@@ -141,7 +143,6 @@ def update_flows(state: AssignmentState, aon_paths: dict, iteration: int) -> dic
         for pos, path in enumerate(aon_paths[od]):
             row = state.ensure_path(od, path)
             state.flows[od][row, pos] += step * state.rates[od][pos]
-    return state.flows
 
 
 def relative_gap(state: AssignmentState) -> float:
@@ -170,81 +171,56 @@ def run_due(network: Network, demand, cfg, loader=None):
     """
     grid = TimeGrid(cfg.dt, cfg.horizon)
     penalties = [(p.resolve(network), p.start_s, p.added_cost_s) for p in cfg.penalties]
-    if loader is None:
-        def loader(network, grid, demand, fractions, state):
-            return load_network(
-                network, grid, demand, fractions,
-                fd_variant=cfg.fd_variant, fd_gamma=cfg.fd_gamma,
-                effective_storage=cfg.effective_storage, node_trace=cfg.node_trace,
-            )
-
     state = AssignmentState(network, grid, demand)
     if cfg.enumerate_paths:
         for od in state.ods:
             for path in enumerate_paths(network, od, cfg.max_paths, cfg.detour):
                 state.ensure_path(od, path)
-    costs = free_flow_costs(network, grid, penalties)
-    departures: dict[int, list[tuple[tuple[int, int], int]]] = {}
-    for od in state.ods:
-        for pos, k in enumerate(state.k_bins[od]):
-            departures.setdefault(k, []).append((od, pos))
     last = grid.n_bins - 1
     # One tree column per departure bin and destination departing in it.
-    columns = [(k, dest) for k in sorted(departures) for dest in sorted({od[1] for od, _ in departures[k]})]
+    columns = sorted({(k, s) for (r, s) in state.ods for k in state.k_bins[r, s]})
     column_of = {kd: c for c, kd in enumerate(columns)}
     bins = [min(k, last) for k, _ in columns]
-    tree_destinations = [dest for _, dest in columns]
+    tree_destinations = [s for _, s in columns]
 
-    def build_trees(costs, path_times=None):
-        """Every tree column in one call; fills path_times when given."""
-        trees = shortest_paths(network, costs, bins, tree_destinations)
-        if path_times is not None:
-            for k, entries in departures.items():
-                k = min(k, last)
-                for od, pos in entries:
-                    for row, rows in enumerate(state.link_rows[od]):
-                        path_times[od][row, pos] = pvdf.instantaneous_route_time(rows, costs, k)
-        return trees
-
-    trees = build_trees(costs)
+    costs = free_flow_costs(network, grid, penalties)
+    trees = shortest_paths(network, costs, bins, tree_destinations)
     gaps: list[float] = []
     reason = "max_iters"
-    result = None
     for n in range(1, cfg.max_iters + 1):
         aon = {}
-        for od in state.ods:
-            r, s = od
-            chosen = []
-            for k in state.k_bins[od]:
+        for r, s in state.ods:
+            aon[r, s] = []
+            for k in state.k_bins[r, s]:
                 path = path_from_successors(network, trees.succ[column_of[k, s]], r, s)
                 if path is None:
                     raise RuntimeError(f"destination {s} unreachable from {r} at bin {k}")
-                chosen.append(path)
-            aon[od] = chosen
+                aon[r, s].append(path)
         update_flows(state, aon, n)
 
+        # the turning fractions read the costs their trees were built on
         fractions = paths_to_turning_fractions(state.path_flow_items(), network, grid, costs, trees)
-        state.loading = result = None  # let the previous loading go before the next one is built
-        result = loader(network, grid, demand, fractions, state)
-        new_costs = costs_from_loading(network, grid, result, cfg.pvdf, penalties)
-        if not np.isfinite(new_costs).all():
+        state.loading = None  # let the previous loading go before the next one is built
+        state.loading = (loader(network, grid, demand, fractions, state) if loader is not None else
+                         load_network(network, grid, demand, fractions, fd_variant=cfg.fd_variant,
+                                      fd_gamma=cfg.fd_gamma, effective_storage=cfg.effective_storage,
+                                      node_trace=cfg.node_trace))
+        costs = costs_from_loading(network, grid, state.loading, cfg.pvdf, penalties)
+        if not np.isfinite(costs).all():
             raise RuntimeError("loading produced non-finite link costs; aborting assignment")
 
-        state.path_times = {
-            od: np.zeros((len(state.paths[od]), len(state.k_bins[od]))) for od in state.ods
-        }
-        trees = build_trees(new_costs, state.path_times)
+        trees = shortest_paths(network, costs, bins, tree_destinations)
         for r, s in state.ods:
-            cols = [column_of[k, s] for k in state.k_bins[(r, s)]]
-            state.shortest_times[(r, s)] = trees.dist[cols, network.arrays.node_index[r]]
+            cols = [column_of[k, s] for k in state.k_bins[r, s]]
+            state.shortest_times[r, s] = trees.dist[cols, network.arrays.node_index[r]]
+            state.path_times[r, s] = np.empty((len(state.paths[r, s]), len(cols)))
+        for od, row, pos, k in state.trips():
+            state.path_times[od][row, pos] = pvdf.instantaneous_route_time(state.link_rows[od][row], costs,
+                                                                           min(k, last))
         state.iteration = n
-        state.costs = new_costs
-        state.loading = result
-        gap = relative_gap(state)
-        gaps.append(gap)
-        state.gap_history = gaps
-        costs = new_costs
-        if gap <= cfg.gap_tol:
+        state.costs = costs
+        gaps.append(relative_gap(state))
+        if gaps[-1] <= cfg.gap_tol:
             reason = "gap_below_tol"
             break
     return state, ConvergenceReport(tuple(gaps), reason)

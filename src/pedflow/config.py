@@ -8,6 +8,8 @@ with # are comments.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -33,9 +35,14 @@ class LinkPenalty:
         ref, _, rest = value.partition("@")
         start, _, cost = rest.partition(":")
         try:
-            return cls(link_ref=ref.strip(), start_s=float(start), added_cost_s=float(cost))
+            penalty = cls(link_ref=ref.strip(), start_s=float(start), added_cost_s=float(cost))
         except ValueError as exc:
             raise ValueError(f"expected '<link>@<start_s>:<added_cost_s>', got {value!r}") from exc
+        if not re.fullmatch(r"-?\d+|\d+-\d+", penalty.link_ref):
+            raise ValueError(f"link must be an integer id or '<from>-<to>', got {penalty.link_ref!r}")
+        if not (math.isfinite(penalty.start_s) and math.isfinite(penalty.added_cost_s)):
+            raise ValueError(f"start_s and added_cost_s must be finite, got {value!r}")
+        return penalty
 
     def __str__(self) -> str:
         return f"{self.link_ref}@{self.start_s:.10g}:{self.added_cost_s:.10g}"
@@ -71,10 +78,17 @@ class ScenarioConfig:
     enumerate_paths: bool = True  # pre-enumerate per OD; turn off on big networks
 
     def __post_init__(self):
-        if self.gap_tol <= 0:
+        for key, value in (("time.dt", self.dt), ("time.horizon", self.horizon)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        if not self.gap_tol > 0:
             raise ConfigError(f"due.gap_tol must be positive, got {self.gap_tol}")
         if self.max_iters < 1:
             raise ConfigError(f"due.max_iters must be >= 1, got {self.max_iters}")
+        if self.max_paths < 0:
+            raise ConfigError(f"paths.max_paths must be >= 0, got {self.max_paths}")
+        if not self.detour >= 1:
+            raise ConfigError(f"paths.detour must be >= 1, got {self.detour}")
         try:
             check_speed_law(self.fd_variant, self.fd_gamma)
         except ValueError as exc:

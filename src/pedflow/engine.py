@@ -363,31 +363,24 @@ def _write_node_trace(result, path) -> None:
 
 def _write_path_flows(state, path) -> None:
     dt = state.grid.dt
-
-    def rows():
-        for od in state.ods:
-            for row, p in enumerate(state.paths[od]):
-                nodes = "-".join(str(n) for n in p.nodes(state.network))
-                for pos, k in enumerate(state.k_bins[od]):
-                    yield f"{od[0]},{od[1]},{row},{nodes},{_fmt(k * dt)},{_fmt(state.flows[od][row, pos])}"
-
-    write_table(path, "origin,destination,path_id,nodes,depart_s,flow_pps", rows())
+    nodes = {(od, row): "-".join(str(n) for n in p.nodes(state.network))
+             for od in state.ods for row, p in enumerate(state.paths[od])}
+    rows = (f"{od[0]},{od[1]},{row},{nodes[od, row]},{_fmt(k * dt)},{_fmt(state.flows[od][row, pos])}"
+            for od, row, pos, k in state.trips())
+    write_table(path, "origin,destination,path_id,nodes,depart_s,flow_pps", rows)
 
 
 def _write_route_times(state, result, path) -> None:
     dt = state.grid.dt
-    trips = [(od, row, pos, k) for od in state.ods for row in range(len(state.paths[od]))
-             for pos, k in enumerate(state.k_bins[od])]
+    trips = list(state.trips())
     experienced = pvdf.experienced_route_times([state.link_rows[od][row] for od, row, _, _ in trips],
                                                [k * dt for *_, k in trips], result.fd_travel_times,
                                                result.grid.horizon)
 
     def row(trip, exp):
         od, path_id, pos, k = trip
-        pt = state.path_times.get(od)
-        inst = pt[path_id, pos] if pt is not None else math.nan
         exp_label = "incomplete" if math.isnan(exp) else _fmt(exp)
-        return f"{od[0]},{od[1]},{path_id},{_fmt(k * dt)},{_fmt(inst)},{exp_label}"
+        return f"{od[0]},{od[1]},{path_id},{_fmt(k * dt)},{_fmt(state.path_times[od][path_id, pos])},{exp_label}"
 
     write_table(path, "origin,destination,path_id,depart_s,instantaneous_s,experienced_s",
                 map(row, trips, experienced.tolist()))

@@ -80,10 +80,12 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
 
     Flows scale each incoming link's oriented demands by a single factor
     (proportional movements), never exceed demand, and leave every outgoing
-    link's reserved supply intact.  Among transfer patterns of maximal total,
-    supply is shared at equal priority between competing incoming links, with
-    unused shares redistributed.  Negative reserved supply (reservation larger
-    than the receiving flow) clamps to zero and is reported in `clamped`.
+    link's reserved supply intact.  Demands that all fit pass whole.  If not,
+    the max-min fair shares (equal priority, unused shares redistributed) are
+    returned when their total is within 1e-9 (relative) of the simplex
+    maximum, and otherwise the simplex's maximal-total vertex, unchanged.
+    Negative reserved supply (reservation larger than the receiving flow)
+    clamps to zero and is reported in `clamped`.
     """
     S = problem.demands
     n_in, n_out = S.shape

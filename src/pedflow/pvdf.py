@@ -11,6 +11,7 @@ loaded network state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +41,9 @@ class PvdfParams:
     lambda_c: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "mu", "eta_r", "lambda_r", "eta_c", "lambda_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 1:

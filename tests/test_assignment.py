@@ -228,6 +228,13 @@ class TestRunDue:
         assert calls == [0, 1, 2]
         assert state.loading is not None
 
+    def test_unreachable_destination_raises(self):
+        net = Network([Node(1), Node(2)], [Link(1, 2, 1, 2.0, 4.0, 1.5, 5.4, 0.5, 8.1)])
+        demand = DemandProfile()
+        demand.add(1, 2, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match=r"^destination 2 unreachable from 1 at bin 0$"):
+            run_due(net, demand, ScenarioConfig(dt=1.0, horizon=10.0))
+
 
 class StaticResult:
     """Loading stand-in: every path flow hits all its links at the departure bin."""

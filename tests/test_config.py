@@ -88,11 +88,28 @@ BAD_VALUES = {
 }
 
 
+# Values that read as the key's type but are not finite, out of range, or
+# (for penalty) name a link by anything but an id or a node pair.
+MORE_BAD_VALUES = [
+    ("time.dt", "0"),
+    ("time.horizon", "inf"),
+    ("pvdf.alpha", "nan"),
+    ("pvdf.lambda_c", "inf"),
+    ("due.gap_tol", "nan"),
+    ("paths.max_paths", "-3"),
+    ("paths.detour", "nan"),
+    ("penalty", "abc@1:2"),
+    ("penalty", "4-7@20:inf"),
+    ("penalty", "4-7@nan:5"),
+    ("penalty", "2-5@20:nan"),
+]
+
+
 def test_every_key_has_a_bad_value():
     assert set(KEYS) == set(BAD_VALUES)
 
 
-@pytest.mark.parametrize("key, value", BAD_VALUES.items())
+@pytest.mark.parametrize("key, value", [*BAD_VALUES.items(), *MORE_BAD_VALUES])
 def test_bad_value_names_its_key(key, value):
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(f"# header\n{key} = {value}\n")
