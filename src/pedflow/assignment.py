@@ -26,7 +26,7 @@ from .nodemodel import paths_to_turning_fractions
 def free_flow_costs(network: Network, grid: TimeGrid, penalties=()) -> np.ndarray:
     """Free-flow link costs, shape (n_links, n_bins), rows in sorted link id order."""
     arrays = network.arrays
-    costs = np.tile((arrays.length / arrays.v_f)[:, None], (1, grid.n_bins))
+    costs = np.tile(arrays.free_flow[:, None], (1, grid.n_bins))
     _apply_penalties(costs, network, grid, penalties)
     return costs
 
@@ -36,7 +36,7 @@ def costs_from_loading(network, grid, result, params, penalties=()) -> np.ndarra
     arrays = network.arrays
     u = result.inflow_rates()
     u_opp = np.where((arrays.twin >= 0)[:, None], u[arrays.twin], 0.0)
-    costs = pvdf.link_cost_profile(arrays.length / arrays.v_f, arrays.capacity, params, u, u_opp)
+    costs = pvdf.link_cost_profile(arrays.free_flow, arrays.capacity, params, u, u_opp)
     _apply_penalties(costs, network, grid, penalties)
     return costs
 

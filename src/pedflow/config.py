@@ -40,8 +40,8 @@ class LinkPenalty:
             raise ValueError(f"expected '<link>@<start_s>:<added_cost_s>', got {value!r}") from exc
         if not re.fullmatch(r"-?\d+|\d+-\d+", penalty.link_ref):
             raise ValueError(f"link must be an integer id or '<from>-<to>', got {penalty.link_ref!r}")
-        if not (math.isfinite(penalty.start_s) and math.isfinite(penalty.added_cost_s)):
-            raise ValueError(f"start_s and added_cost_s must be finite, got {value!r}")
+        if not (math.isfinite(penalty.start_s) and 0 <= penalty.added_cost_s < math.inf):
+            raise ValueError(f"start_s must be finite and added_cost_s finite and >= 0, got {value!r}")
         return penalty
 
     def __str__(self) -> str:

@@ -162,23 +162,16 @@ class TimeSpaceMatrix:
 def build_time_space(network: Network, curves: dict[int, tuple[np.ndarray, np.ndarray]],
                      node_path, dt: float) -> TimeSpaceMatrix:
     """Assemble the matrix for consecutive nodes; curves maps link id -> (U, V)."""
-    node_path = list(node_path)
-    path = network.path_from_nodes(node_path)
-    lengths, density_rows, flow_rows = [], [], []
-    for lid in path.link_ids:
-        link = network.links[lid]
-        U, V = curves[lid]
-        occ = (U - V)[:-1]
-        density_rows.append(occ / (link.length * link.width))
-        flow_rows.append(np.diff(V) / dt / link.width)
-        lengths.append(link.length)
-    x_edges = np.concatenate([[0.0], np.cumsum(lengths)])
+    path = network.path_from_nodes(list(node_path))
+    arrays = network.arrays
+    rows = [arrays.index[lid] for lid in path.link_ids]
+    U, V = (np.array([curves[lid][i] for lid in path.link_ids]) for i in (0, 1))
     return TimeSpaceMatrix(
         link_ids=path.link_ids,
-        x_edges=x_edges,
+        x_edges=np.concatenate([[0.0], np.cumsum(arrays.length[rows])]),
         dt=dt,
-        density=np.array(density_rows),
-        flow=np.array(flow_rows),
+        density=(U - V)[:, :-1] / arrays.area[rows, None],
+        flow=np.diff(V, axis=1) / dt / arrays.width[rows, None],
     )
 
 

@@ -38,12 +38,9 @@ class FDParams:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.v_f <= 0:
-            raise ValueError(f"v_f must be positive, got {self.v_f}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.k_jam <= 0:
-            raise ValueError(f"k_jam must be positive, got {self.k_jam}")
+        for name in ("v_f", "omega", "k_jam"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         check_speed_law(self.variant, self.gamma)
 
 
@@ -72,20 +69,18 @@ class FDState:
     k_opp: float
 
     def __post_init__(self):
-        if self.k < 0 or self.k_opp < 0:
-            raise ValueError(f"densities must be nonnegative, got ({self.k}, {self.k_opp})")
+        if not (0 <= self.k < math.inf and 0 <= self.k_opp < math.inf):
+            raise ValueError(f"densities must be nonnegative and finite, got ({self.k}, {self.k_opp})")
 
 
 def density_ratio(state: FDState) -> float:
-    """Share of the total bidirectional density carried by the reference direction.
+    """Share of the total bidirectional density carried by the reference direction:
+    `density_ratio_profile` on one pair.
 
     An empty segment returns 1.0: with nobody walking either way there is no
     counterflow friction, so the reference direction sees the full diagram.
     """
-    total = state.k + state.k_opp
-    if total == 0.0:
-        return 1.0
-    return state.k / total
+    return float(density_ratio_profile(np.array([state.k, state.k_opp]), np.array([1, 0]))[0])
 
 
 def effective_jam_density(params: FDParams, rho: float) -> float:
@@ -95,24 +90,22 @@ def effective_jam_density(params: FDParams, rho: float) -> float:
 
 
 def effective_speed(params: FDParams, rho: float) -> float:
-    """Free-flow speed degraded by counterflow at density ratio rho.
+    """Free-flow speed degraded by counterflow at density ratio rho:
+    `effective_speed_profile` on one ratio.
 
     Both variants return exactly v_f at rho = 1 (no counterflow).  The power
     variant with rho = 0 and gamma = 0 is the 0**0 corner; it is defined as
     v_f and flagged with a warning because the limit is direction-dependent.
     """
     _check_ratio(rho)
-    if params.variant == "logistic":
-        return params.v_f * math.exp(rho - 1.0)
-    if rho == 0.0 and params.gamma == 0.0:
+    if params.variant == "power" and rho == 0.0 and params.gamma == 0.0:
         warnings.warn(
             "power-law effective speed at rho=0 with gamma=0 is the 0**0 corner; "
             "using v_f by convention",
             RuntimeWarning,
             stacklevel=2,
         )
-        return params.v_f
-    return rho**params.gamma * params.v_f
+    return float(effective_speed_profile(params.v_f, rho, params.variant, params.gamma))
 
 
 def critical_density(params: FDParams, rho: float) -> float:
@@ -147,8 +140,12 @@ def flow(params: FDParams, state: FDState) -> float:
 
 def capacity_flow(params: FDParams) -> float:
     """Apex flow of the unidirectional diagram (rho = 1), in ped/m/s."""
-    k_c = critical_density(params, 1.0)
-    return params.v_f * k_c
+    return default_capacity(1.0, params.v_f, params.k_jam, params.omega)
+
+
+def default_capacity(width: float, v_f: float, k_jam: float, omega: float) -> float:
+    """Apex flow of the unidirectional relation times width, ped/s; NaN where v_f + omega is 0."""
+    return v_f * (k_jam * omega / (v_f + omega)) * width if v_f + omega else math.nan
 
 
 def density_ratio_profile(k: np.ndarray, twin: np.ndarray, rows=None) -> np.ndarray:

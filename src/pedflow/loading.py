@@ -106,9 +106,8 @@ class LoadingResult:
         if (occ < -tol).any():
             out.append("negative occupancy (exits overtook entries)")
         arrays = self.network.arrays
-        storage = arrays.k_jam * arrays.area
-        if (occ > storage[:, None] + tol).any():
-            worst = int(np.argmax((occ - storage[:, None]).max(axis=1)))
+        if (occ > arrays.storage[:, None] + tol).any():
+            worst = int(np.argmax((occ - arrays.storage[:, None]).max(axis=1)))
             out.append(f"occupancy exceeds storage on link {self.link_order[worst]}")
         if (np.abs(self.Ud.sum(axis=1) - self.U) > tol).any():
             out.append("per-destination entries do not add up to the total curve")
@@ -315,7 +314,7 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effect
     out = np.flatnonzero(col_key != SINK)
     if out.size:
         rows = np.searchsorted(link_ids, col_key[out])
-        storage = arrays.k_jam[rows] * arrays.area[rows]
+        storage = arrays.storage[rows]
         if effective_storage:
             storage = fd.density_ratio_profile(k, arrays.twin, rows) * storage
         supplies[out] = ltm.receiving_flows_at(V, U, t, result.grid.dt, arrays.length[rows], arrays.omega[rows],

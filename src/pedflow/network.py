@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fd import default_capacity
+
 NET_HEADER = "pedflow-net v1"
 DEM_HEADER = "pedflow-dem v1"
 
@@ -70,17 +72,6 @@ class Link:
     @property
     def free_flow_time(self) -> float:
         return self.length / self.v_f
-
-    @property
-    def storage(self) -> float:
-        """Pedestrians the link can hold at jam, in persons."""
-        return self.k_jam * self.length * self.width
-
-
-def default_capacity(length: float, width: float, v_f: float, k_jam: float, omega: float) -> float:
-    """Apex flow of the unidirectional triangular relation times width, ped/s."""
-    k_c = k_jam * omega / (v_f + omega)
-    return v_f * k_c * width
 
 
 @dataclass(frozen=True)
@@ -228,6 +219,8 @@ class LinkArrays:
             [-1 if l.opposite is None else self.index[l.opposite] for l in links], dtype=int
         )
         self.area = self.length * self.width
+        self.free_flow = self.length / self.v_f  # free-flow time, s
+        self.storage = self.k_jam * self.area  # persons held at jam
         # Nodes in sorted id order; tail/head are each link's end nodes as node positions.
         self.nodes = sorted(network.nodes)
         self.node_index = {nid: i for i, nid in enumerate(self.nodes)}
@@ -287,9 +280,14 @@ def validate_network(network: Network) -> list[str]:
 
 
 def validate_time_grid(network: Network, grid: TimeGrid) -> list[str]:
-    """Step-size violations: dt must not exceed any link's L / max(v_f, omega)."""
+    """Step-size violations: dt must not exceed any link's L / max(v_f, omega).
+
+    Links whose speeds validate_network rejects are left to its report.
+    """
     violations = []
     for l in sorted(network.links.values(), key=lambda x: x.id):
+        if not (0 < l.v_f < math.inf and 0 < l.omega < math.inf):
+            continue
         limit = l.length / max(l.v_f, l.omega)
         if grid.dt > limit + 1e-12:
             violations.append(
@@ -431,7 +429,7 @@ def enumerate_paths(
     if max_paths <= 0:
         return []
     arrays = network.arrays
-    trees = shortest_paths(network, (arrays.length / arrays.v_f)[:, None], [0], [s])
+    trees = shortest_paths(network, arrays.free_flow[:, None], [0], [s])
     dist_to, index = trees.dist[0].tolist(), arrays.node_index
     best = dist_to[index[r]]
     if best == math.inf:
@@ -533,7 +531,7 @@ def _network_record(parts: list[str]) -> Node | Link:
         raise ValueError("link record needs 11 fields")
     length, width = float(parts[4]), float(parts[5])
     v_f, k_jam, omega = float(parts[6]), float(parts[7]), float(parts[8])
-    cap = default_capacity(length, width, v_f, k_jam, omega) if parts[9] == "-" else float(parts[9])
+    cap = default_capacity(width, v_f, k_jam, omega) if parts[9] == "-" else float(parts[9])
     opp = None if parts[10] == "-" else int(parts[10])
     return Link(int(parts[1]), int(parts[2]), int(parts[3]), length, width, v_f, k_jam, omega, cap, opp)
 

@@ -351,12 +351,11 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
     destinations are built.
     """
     arrays = network.arrays
-    free_flow = (arrays.length / arrays.v_f)[:, None]
-    costs = free_flow if costs is None else costs
+    costs = arrays.free_flow[:, None] if costs is None else costs
     path_flows = [item for item in path_flows if item[2] > 0]
     if trees is None:
         dests = sorted({path.od[1] for path, _, _ in path_flows})
-        trees = shortest_paths(network, free_flow, [0] * len(dests), dests)
+        trees = shortest_paths(network, arrays.free_flow[:, None], [0] * len(dests), dests)
     n_bins, dt = grid.n_bins, grid.dt
     link_ids = np.array(arrays.order, dtype=int)
     from_node = np.array(arrays.nodes, dtype=int)[arrays.tail]

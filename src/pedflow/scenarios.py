@@ -10,7 +10,8 @@ as the documented package defaults below; they are not calibrated values.
 from __future__ import annotations
 
 from .config import LinkPenalty, ScenarioConfig
-from .network import DemandProfile, Link, Network, Node, default_capacity
+from .fd import default_capacity
+from .network import DemandProfile, Link, Network, Node
 from .pvdf import PvdfParams
 
 # Package default walking parameters (inputs, not calibrated constants).
@@ -34,7 +35,7 @@ CORRIDOR_PRESETS = (4, 5, 6)
 
 def _pair(link_id: int, a: int, b: int, length: float, width: float,
           v_f=DEFAULT_V_F, k_jam=DEFAULT_K_JAM, omega=DEFAULT_OMEGA) -> tuple[Link, Link]:
-    cap = default_capacity(length, width, v_f, k_jam, omega)
+    cap = default_capacity(width, v_f, k_jam, omega)
     fwd = Link(link_id, a, b, length, width, v_f, k_jam, omega, cap, opposite=link_id + 1)
     bwd = Link(link_id + 1, b, a, length, width, v_f, k_jam, omega, cap, opposite=link_id)
     return fwd, bwd

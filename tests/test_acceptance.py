@@ -219,7 +219,7 @@ def test_criterion_08_conservation_on_every_preset(preset_runs):
         assert (np.diff(res.U, axis=1) >= -1e-9).all(), f"preset {preset}"
         assert (np.diff(res.V, axis=1) >= -1e-9).all(), f"preset {preset}"
         occ = res.U - res.V
-        storage = np.array([net.links[l].storage for l in res.link_order])
+        storage = net.arrays.k_jam * net.arrays.area  # rows in res.link_order
         assert (occ >= -1e-6).all() and (occ <= storage[:, None] + 1e-6).all(), f"preset {preset}"
 
 

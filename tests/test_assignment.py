@@ -146,7 +146,7 @@ def diamond_network():
     """Two identical one-way routes (via node 2 and via node 3) from 1 to 4."""
     nodes = [Node(1, kind="origin-centroid"), Node(2), Node(3), Node(4, kind="destination-centroid")]
     mk = lambda lid, a, b: Link(lid, a, b, 2.0, 4.0, 1.5, 5.4, 0.5,
-                                default_capacity(2.0, 4.0, 1.5, 5.4, 0.5))
+                                default_capacity(4.0, 1.5, 5.4, 0.5))
     links = [mk(1, 1, 2), mk(2, 2, 4), mk(3, 1, 3), mk(4, 3, 4)]
     return Network(nodes, links)
 

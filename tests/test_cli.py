@@ -42,6 +42,19 @@ class TestScenarioAndValidate:
         assert code == EXIT_INVALID
         assert "violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("speeds, violation", [
+        ("-0.5,5.4,0.5", "nonpositive v_f (-0.5)"),
+        ("1.5,5.4,-1.5", "nonpositive omega (-1.5)"),
+    ])
+    def test_validate_lists_speeds_that_sum_to_zero(self, tmp_path, capsys, speeds, violation):
+        net = tmp_path / "x.net"
+        net.write_text("pedflow-net v1\nnode,1,0,0,origin-centroid\nnode,2,2,0,destination-centroid\n"
+                       f"link,1,1,2,2.0,4.0,{speeds},-,-\n")
+        dem = tmp_path / "x.dem"
+        dem.write_text("pedflow-dem v1\nod,1,2,0,1\n")
+        assert main(["validate", str(net), str(dem)]) == EXIT_INVALID
+        assert violation in capsys.readouterr().out
+
     def test_validate_rejects_missing_header(self, tmp_path, capsys):
         bad = tmp_path / "x.net"
         bad.write_text("not a network\n")
@@ -78,6 +91,25 @@ class TestRunAndExport:
         ])
         assert code == EXIT_INVALID
         assert "stability" in capsys.readouterr().err
+
+    def test_run_with_zero_speeds_exits_one_naming_them(self, tmp_path, capsys):
+        scn = tmp_path / "scn"
+        main(["scenario", "grid", "--preset", "1", "--out", str(scn)])
+        net_file = scn / "network.net"
+        lines = net_file.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("link,1,"):
+                parts = line.split(",")
+                parts[6] = parts[8] = "0"  # v_f and omega; the capacity stays explicit
+                lines[i] = ",".join(parts)
+        net_file.write_text("\n".join(lines) + "\n")
+        code = main([
+            "run", "--net", str(net_file), "--dem", str(scn / "demand.dem"),
+            "--config", str(scn / "config.cfg"), "--out", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "link 1: nonpositive v_f (0.0)" in err and "link 1: nonpositive omega (0.0)" in err
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         scn = tmp_path / "scn"

@@ -102,6 +102,8 @@ MORE_BAD_VALUES = [
     ("penalty", "4-7@20:inf"),
     ("penalty", "4-7@nan:5"),
     ("penalty", "2-5@20:nan"),
+    ("penalty", "4-7@0:-1000"),
+    ("penalty", "4-7@0:-0.5"),
 ]
 
 

@@ -40,6 +40,19 @@ class TestSpeedLaw:
             effective_speed_profile(1.5, np.array([0.5]), "Logistic", 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize("name", ["v_f", "omega", "k_jam"])
+    def test_params(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FDParams(**{"v_f": 1.5, "omega": 0.5, "k_jam": 5.4, name: value})
+
+    def test_densities(self, value):
+        for k, k_opp in ((value, 0.0), (0.0, value)):
+            with pytest.raises(ValueError, match="densities"):
+                FDState(k=k, k_opp=k_opp)
+
+
 class TestDensityRatio:
     def test_balanced(self):
         assert density_ratio(FDState(k=2.0, k_opp=2.0)) == 0.5

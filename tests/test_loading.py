@@ -31,7 +31,7 @@ def one_way_chain():
     widths = [1.0, 0.5, 1.0]
     links = [
         Link(i + 1, i + 1, i + 2, 2.0, widths[i], 1.0, 2.0, 0.5,
-             default_capacity(2.0, widths[i], 1.0, 2.0, 0.5))
+             default_capacity(widths[i], 1.0, 2.0, 0.5))
         for i in range(3)
     ]
     return Network(nodes, links)

@@ -173,6 +173,11 @@ class TestEnumeratePaths:
         times = [p.free_flow_time(net) for p in longer]
         assert times == sorted(times)
 
+    def test_expansion_cap_raises(self):
+        with pytest.raises(RuntimeError, match=r"^path enumeration budget exceeded; "
+                                               r"lower max_paths or the detour factor$"):
+            enumerate_paths(make_grid_network(6), (1, 36), 10**6, detour=3.0)
+
     def test_deterministic(self):
         net = make_grid_network(3)
         a = [p.link_ids for p in enumerate_paths(net, (1, 9), 6)]
@@ -333,7 +338,7 @@ class TestFileFormats:
         path.write_text(content)
         net = load_network(path)
         assert net.links[1].capacity == pytest.approx(
-            default_capacity(2.0, 4.0, 1.5, 5.4, 0.5)
+            default_capacity(4.0, 1.5, 5.4, 0.5)
         )
         assert net.links[1].capacity == pytest.approx(8.1)
 
