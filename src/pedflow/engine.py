@@ -75,6 +75,8 @@ def run_scenario(cfg: ScenarioConfig, network: Network, demand: DemandProfile, o
     _write_link_state(result, out / "link_state.csv")
     if cfg.node_trace:
         _write_node_trace(result, out / "node_trace.csv")
+    else:
+        (out / "node_trace.csv").unlink(missing_ok=True)  # an earlier run's, which config.cfg would contradict
     _write_path_flows(state, out / "path_flows.csv")
     gaps = (f"{i},{_fmt(g)}" for i, g in enumerate(report.rel_gaps, start=1))
     write_table(out / "gap.csv", "iteration,rel_gap", gaps)
@@ -170,7 +172,7 @@ def build_time_space(network: Network, curves: dict[int, tuple[np.ndarray, np.nd
         link_ids=path.link_ids,
         x_edges=np.concatenate([[0.0], np.cumsum(arrays.length[rows])]),
         dt=dt,
-        density=(U - V)[:, :-1] / arrays.area[rows, None],
+        density=np.maximum(U - V, 0.0)[:, :-1] / arrays.area[rows, None],  # as LoadingResult.densities
         flow=np.diff(V, axis=1) / dt / arrays.width[rows, None],
     )
 

@@ -331,19 +331,14 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effect
 
     theta = np.ones(len(snd_node))
     if not fits.all():
-        new_sender = np.append(True, cell_snd[1:] != cell_snd[:-1])
-        senders = cell_snd[new_sender]
-        cell_first = np.flatnonzero(np.append(True, cell_node[1:] != cell_node[:-1]))
-        sender_first = np.flatnonzero(np.append(True, snd_node[senders[1:]] != snd_node[senders[:-1]]))
-        node = np.repeat(np.arange(len(cell_first)), np.diff(np.append(cell_first, len(cell_node))))
-        cell_row = np.cumsum(new_sender) - 1 - sender_first[node]  # row in its node's demand matrix
-        cell_local_col = cell_col - node_first[node]  # column in its node's demand matrix
-        bounds = [b.tolist() for b in (cell_first, np.append(cell_first[1:], len(cell_node)), sender_first,
-                                       np.append(sender_first[1:], len(senders)), node_first, n_cols)]
+        # senders numbered in cell order; a node's cells start where cell_node first reaches it
+        sender_no = np.cumsum(np.append(True, cell_snd[1:] != cell_snd[:-1])) - 1
+        cell_first = np.append(np.searchsorted(cell_node, col_node[node_first]), len(cell_node)).tolist()
         for i in np.flatnonzero(~fits).tolist():
-            c0, c1, s0, s1, j, n = (b[i] for b in bounds)
-            demands = np.zeros((s1 - s0, n))
-            demands[cell_row[c0:c1], cell_local_col[c0:c1]] = cell_S[c0:c1]
+            cells, j, n = slice(cell_first[i], cell_first[i + 1]), node_first[i], n_cols[i]
+            rows = sender_no[cells] - sender_no[cells.start]
+            demands = np.zeros((rows[-1] + 1, n))
+            demands[rows, cell_col[cells] - j] = cell_S[cells]
             problem = NodeFlowProblem(demands, supplies[j:j + n], reserved[j:j + n])
-            theta[senders[s0:s1]] = solve_node(problem).reductions
+            theta[cell_snd[cells]] = solve_node(problem).reductions[rows]
     return _NodeStep(theta, cell_snd, cell_key, cell_S, cell_col, supplies, reserved)

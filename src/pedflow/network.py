@@ -254,6 +254,8 @@ def validate_network(network: Network) -> list[str]:
         for attr in ("length", "width", "v_f", "k_jam", "omega", "capacity"):
             value = getattr(l, attr)
             if not 0.0 < value < math.inf:
+                if attr == "capacity" and math.isnan(value) and l.v_f + l.omega == 0:
+                    continue  # derived over speeds that sum to zero, which their own lines report
                 kind = "nonpositive" if value <= 0 else "non-finite"
                 violations.append(f"link {l.id}: {kind} {attr} ({value})")
         if l.opposite is not None:

@@ -56,9 +56,11 @@ class NodeFlowProblem:
         n_in, n_out = self.demands.shape
         if self.supplies.shape != (n_out,) or self.counterflow.shape != (n_out,):
             raise ValueError("supplies/counterflow must have one entry per outgoing link")
-        if (self.demands < 0).any():
+        if not (self.demands >= 0).all():
             raise ValueError("oriented demands must be nonnegative")
-        if (self.counterflow < 0).any():
+        if np.isnan(self.supplies).any():
+            raise ValueError("supplies must be numbers (inf for a sink)")
+        if not (self.counterflow >= 0).all():
             raise ValueError("counterflow reservations must be nonnegative")
 
 
@@ -123,34 +125,32 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     bottleneck share.  Freed shares then flow back to the remaining
     competitors, so the result is the max-min fair transfer pattern.
     """
-    n_in, n_out = S.shape
-    row_tot = S.sum(axis=1)
-    theta = np.ones(n_in)
+    rows = S.tolist()
+    theta = np.ones(len(rows))
     q = np.zeros_like(S)
     remaining = available.astype(float).copy()
-    active = [i for i in range(n_in) if row_tot[i] > 0]
-    uses = {i: np.where(S[i] > 0)[0] for i in active}
+    active = [i for i, row in enumerate(rows) if sum(row) > 0]
     while active:
-        competitors = {j: sum(1 for i in active if S[i, j] > 0) for j in range(n_out)}
-        cand = {}
+        competitors, left = (S[active] > 0).sum(axis=0).tolist(), remaining.tolist()
+        cand = []
         for i in active:
             t_i = 1.0
-            for j in uses[i]:
-                share = remaining[j] / competitors[j]
-                ratio = share / S[i, j]
-                if ratio < t_i:
-                    t_i = ratio
-            cand[i] = max(t_i, 0.0)
-        batch = [i for i in active if cand[i] >= 1.0 - 1e-15]
-        if not batch:
-            t_min = min(cand.values())
-            batch = [i for i in active if cand[i] <= t_min + 1e-15]
-        for i in batch:
-            theta[i] = min(cand[i], 1.0)
-            q[i] = theta[i] * S[i]
-            remaining -= q[i]
+            for j, s in enumerate(rows[i]):
+                if s > 0:
+                    ratio = left[j] / competitors[j] / s
+                    if ratio < t_i:
+                        t_i = ratio
+            cand.append(max(t_i, 0.0))
+        # the links whose demand fits whole, or else the most constrained ones
+        fit, t_min = max(cand) >= 1.0 - 1e-15, min(cand)
+        pinned = [c >= 1.0 - 1e-15 if fit else c <= t_min + 1e-15 for c in cand]
+        for i, c, pin in zip(active, cand, pinned):
+            if pin:
+                theta[i] = min(c, 1.0)
+                q[i] = theta[i] * S[i]
+                remaining -= q[i]
         np.clip(remaining, 0.0, None, out=remaining)
-        active = [i for i in active if i not in batch]
+        active = [i for i, pin in zip(active, pinned) if not pin]
     return q, theta
 
 
@@ -164,8 +164,6 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     row_tot = S.sum(axis=1)
     act = [i for i in range(n_in) if row_tot[i] > 0]
     theta = np.ones(n_in)
-    if not act:
-        return np.zeros_like(S), theta
     phi = S[act] / row_tot[act][:, None]  # movement fractions of each active row
     sup_rows = [j for j in range(n_out) if math.isfinite(available[j])]
     n = len(act)
@@ -173,9 +171,8 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     T = np.zeros((m + 1, n + m + 1))
     T[:n, :n] = np.eye(n)
     T[:n, -1] = row_tot[act]
-    for r, j in enumerate(sup_rows):
-        T[n + r, :n] = phi[:, j]
-        T[n + r, -1] = available[j]
+    T[n:m, :n] = phi[:, sup_rows].T
+    T[n:m, -1] = available[sup_rows]
     T[:m, n : n + m] = np.eye(m)
     T[m, :n] = -1.0
     basis = list(range(n, n + m))

@@ -53,7 +53,18 @@ class TestScenarioAndValidate:
         dem = tmp_path / "x.dem"
         dem.write_text("pedflow-dem v1\nod,1,2,0,1\n")
         assert main(["validate", str(net), str(dem)]) == EXIT_INVALID
-        assert violation in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert violation in out
+        assert "capacity" not in out  # derived from the speeds, so theirs is the only report
+
+    def test_validate_reports_an_explicit_nan_capacity(self, tmp_path, capsys):
+        net = tmp_path / "x.net"
+        net.write_text("pedflow-net v1\nnode,1,0,0,origin-centroid\nnode,2,2,0,destination-centroid\n"
+                       "link,1,1,2,2.0,4.0,1.5,5.4,0.5,nan,-\n")
+        dem = tmp_path / "x.dem"
+        dem.write_text("pedflow-dem v1\nod,1,2,0,1\n")
+        assert main(["validate", str(net), str(dem)]) == EXIT_INVALID
+        assert "link 1: non-finite capacity (nan)" in capsys.readouterr().out
 
     def test_validate_rejects_missing_header(self, tmp_path, capsys):
         bad = tmp_path / "x.net"

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pedflow.assignment import run_due
 from pedflow.config import LinkPenalty, ScenarioConfig
 from pedflow.engine import (
     SimulationInputError,
@@ -56,6 +58,13 @@ class TestRunScenario:
         assert rerun["results_sha256"] == summary["results_sha256"]
         assert (tmp_path / "again" / "path_flows.csv").read_bytes() == (out / "path_flows.csv").read_bytes()
         assert (tmp_path / "again" / "cumulative_curves.csv").read_bytes() == (out / "cumulative_curves.csv").read_bytes()
+
+    def test_trace_off_deletes_an_earlier_trace(self, tmp_path):
+        net, demand, cfg = generate_grid_scenario(preset=1)
+        run_scenario(cfg, net, demand, tmp_path)
+        assert (tmp_path / "node_trace.csv").exists()
+        run_scenario(replace(cfg, node_trace=False), net, demand, tmp_path)
+        assert not (tmp_path / "node_trace.csv").exists()
 
     def test_wall_clock_outside_hashed_payload(self, grid_run):
         _, _, out, summary = grid_run
@@ -124,6 +133,18 @@ class TestTimeSpaceExport:
         apex = net.links[1].v_f * (k_jam * 0.5 / (net.links[1].v_f + 0.5))
         assert ts.flow.max() <= apex + 1e-9
         assert ts.flow.min() >= -1e-9
+
+    def test_density_clamps_occupancy_like_the_run(self):
+        # preset 2 leaves exits a few ulp above entries on links 13 (4->7) and 19 (6->9)
+        net, demand, cfg = generate_grid_scenario(preset=2)
+        result = run_due(net, demand, cfg)[0].loading
+        node_path = [1, 4, 7, 8, 5, 6, 9]
+        link_ids = net.path_from_nodes(node_path).link_ids
+        rows = [net.arrays.index[lid] for lid in link_ids]
+        assert (result.U - result.V)[rows].min() < 0.0
+        curves = {lid: (result.U[row], result.V[row]) for lid, row in zip(link_ids, rows)}
+        ts = build_time_space(net, curves, node_path, cfg.dt)
+        assert ts.density.tobytes() == result.densities()[0][rows].tobytes()
 
     def test_unknown_path_rejected(self, grid_run):
         _, _, out, _ = grid_run

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_fractions
+import reference_nodemodel
 from pedflow import nodemodel
 from pedflow.ltm import counterflow_at
 from pedflow.network import Path, TimeGrid, Trees
@@ -160,6 +161,65 @@ class TestOptimalityAndProportionality:
         monkeypatch.setattr(nodemodel, "PIVOTS_PER_DIMENSION", 0)
         with pytest.raises(RuntimeError, match="pivot"):
             nodemodel._max_total_vertex(S, available)
+
+
+@st.composite
+def node_problems(draw):
+    """Node problems of 1-4 incoming by 1-4 outgoing links.  Demands are
+    zero, quarters or arbitrary floats, with whole rows and columns zeroed
+    at random.  Each column is a sink (infinite supply, nothing reserved),
+    a reservation larger than its supply, or an available supply that is
+    arbitrary or within 1e-10 of the column's load, under a reservation
+    that is zero or arbitrary."""
+    n_in, n_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda v: v / 4), st.floats(1e-3, 5.0))
+    S = np.array(draw(st.lists(st.lists(entry, min_size=n_out, max_size=n_out), min_size=n_in, max_size=n_in)))
+    S[sorted(draw(st.sets(st.integers(0, n_in - 1), max_size=n_in)))] = 0.0
+    S[:, sorted(draw(st.sets(st.integers(0, n_out - 1), max_size=n_out)))] = 0.0
+    supplies, reserved = np.zeros(n_out), np.zeros(n_out)
+    for j, load in enumerate(S.sum(axis=0).tolist()):
+        kind = draw(st.sampled_from(["sink", "over", "free", "tie"]))
+        if kind == "sink":
+            supplies[j] = np.inf
+        elif kind == "over":
+            supplies[j] = draw(st.floats(0.0, 3.0))
+            reserved[j] = supplies[j] + draw(st.floats(1e-3, 3.0))
+        else:
+            available = draw(st.floats(0.0, 3.0)) if kind == "free" else load + draw(st.floats(-1e-10, 1e-10))
+            reserved[j] = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+            supplies[j] = available + reserved[j]
+    return NodeFlowProblem(S, supplies, reserved)
+
+
+class TestSolverParity:
+    @settings(max_examples=500, deadline=None)
+    @given(node_problems())
+    def test_bit_identical_to_the_reference_solver(self, problem):
+        """solve_node returns the reference solver's flows and reductions,
+        bit for bit (the sign of zero included), and its clamped columns."""
+        got = solve_node(problem)
+        want = reference_nodemodel.reference_solve_node(problem)
+        assert got.flows.tobytes() == want.flows.tobytes()
+        assert got.reductions.tobytes() == want.reductions.tobytes()
+        assert got.clamped == want.clamped
+
+
+class TestProblemChecks:
+    @pytest.mark.parametrize("field, values", [
+        ("demands", [[np.nan, 1.0]]),
+        ("supplies", [np.nan, 1.0]),
+        ("counterflow", [0.0, np.nan]),
+    ])
+    def test_nan_is_rejected(self, field, values):
+        # unchecked, a NaN demand dropped its row's 1.0 that fits, and a NaN
+        # supply or reservation passed its column's whole demand
+        args = {"demands": [[0.5, 1.0]], "supplies": [1.0, 1.0], "counterflow": [0.0, 0.0], field: values}
+        with pytest.raises(ValueError, match=field):
+            NodeFlowProblem(**args)
+
+    def test_infinite_sink_supply_is_allowed(self):
+        sol = solve_node(NodeFlowProblem([[2.0, 1.0]], [np.inf, 0.5]))
+        assert sol.flows.tolist() == [[1.0, 0.5]]
 
 
 def reservation(net, link_id, U, t):
