@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path as FsPath
@@ -151,14 +151,8 @@ class TimeSpaceMatrix:
         absolute times through t_offset, so slices of slices compose."""
         b0 = max(int((t0 - self.t_offset) / self.dt), 0)
         b1 = min(int(math.ceil((t1 - self.t_offset) / self.dt)), self.n_bins)
-        return TimeSpaceMatrix(
-            link_ids=self.link_ids,
-            x_edges=self.x_edges,
-            dt=self.dt,
-            density=self.density[:, b0:b1],
-            flow=self.flow[:, b0:b1],
-            t_offset=self.t_offset + b0 * self.dt,
-        )
+        return replace(self, density=self.density[:, b0:b1], flow=self.flow[:, b0:b1],
+                       t_offset=self.t_offset + b0 * self.dt)
 
 
 def build_time_space(network: Network, curves: dict[int, tuple[np.ndarray, np.ndarray]],

@@ -139,7 +139,8 @@ def load_network(
     Each step is one array pass: the link kernels on the links entered so
     far, one FIFO split of every sending window, one fraction lookup for
     every (sender, destination) pair, and one transfer of all movements.
-    Only nodes whose movements overfill a reserved supply go to `solve_node`.
+    Only nodes whose movements overfill a reserved supply go to `solve_node`,
+    stacked by shape.
     """
     destinations = demand.destinations()
     n_dest = len(destinations)
@@ -298,8 +299,9 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effect
 
     A node's demand matrix has its senders as rows and its used out keys,
     ascending with the sink last, as columns.  Nodes whose column loads fit
-    their available supply pass every movement whole; only the rest go to
-    `solve_node`.  Counts every node's supply clamps into result.
+    their available supply pass every movement whole; the rest go to
+    `solve_node`, one stack per shape of demand matrix.  Counts every
+    node's supply clamps into result.
     """
     cell_of_move, first = _group(m_key, m_snd)
     cell_snd, cell_key = m_snd[first], m_key[first]
@@ -331,14 +333,21 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effect
 
     theta = np.ones(len(snd_node))
     if not fits.all():
-        # senders numbered in cell order; a node's cells start where cell_node first reaches it
-        sender_no = np.cumsum(np.append(True, cell_snd[1:] != cell_snd[:-1])) - 1
-        cell_first = np.append(np.searchsorted(cell_node, col_node[node_first]), len(cell_node)).tolist()
-        for i in np.flatnonzero(~fits).tolist():
-            cells, j, n = slice(cell_first[i], cell_first[i + 1]), node_first[i], n_cols[i]
-            rows = sender_no[cells] - sender_no[cells.start]
-            demands = np.zeros((rows[-1] + 1, n))
-            demands[rows, cell_col[cells] - j] = cell_S[cells]
-            problem = NodeFlowProblem(demands, supplies[j:j + n], reserved[j:j + n])
-            theta[cell_snd[cells]] = solve_node(problem).reductions[rows]
+        # a node's problem has its senders with cells as rows (numbered in cell order) and its columns as
+        # columns; the congested nodes of one shape are one stack, their problems in node order
+        node_of_cell = np.repeat(np.arange(len(node_first)), n_cols)[cell_col]
+        new_sender = np.append(True, cell_snd[1:] != cell_snd[:-1])
+        n_rows = np.bincount(node_of_cell[new_sender], minlength=len(node_first))
+        cell_row = np.cumsum(new_sender) - 1 - (np.cumsum(n_rows) - n_rows)[node_of_cell]
+        cell_c = cell_col - node_first[node_of_cell]
+        shape, first = _group(n_cols, n_rows, fits)  # the congested shapes first
+        cell_shape = shape[node_of_cell]
+        for s, i in enumerate(first[~fits[first]].tolist()):
+            nodes, cells = np.flatnonzero(shape == s), np.flatnonzero(cell_shape == s)
+            at = (np.searchsorted(nodes, node_of_cell[cells]), cell_row[cells])
+            demands = np.zeros((len(nodes), n_rows[i], n_cols[i]))
+            demands[at + (cell_c[cells],)] = cell_S[cells]
+            cols = node_first[nodes, None] + np.arange(n_cols[i])
+            problem = NodeFlowProblem(demands, supplies[cols], reserved[cols])
+            theta[cell_snd[cells]] = solve_node(problem).reductions[at]
     return _NodeStep(theta, cell_snd, cell_key, cell_S, cell_col, supplies, reserved)

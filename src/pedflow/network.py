@@ -120,10 +120,7 @@ class DemandProfile:
         self.entries.append(DemandEntry(origin, destination, depart_s, rate))
 
     def od_pairs(self) -> list[tuple[int, int]]:
-        seen: dict[tuple[int, int], None] = {}
-        for e in self.entries:
-            seen.setdefault((e.origin, e.destination), None)
-        return list(seen)
+        return list(dict.fromkeys((e.origin, e.destination) for e in self.entries))
 
     def destinations(self) -> list[int]:
         return sorted({e.destination for e in self.entries})

@@ -39,7 +39,8 @@ class NodeFlowProblem:
     demands[i, j] is what incoming link i would send toward outgoing link j
     this step (already turn-fraction weighted); supplies[j] is the receiving
     flow of outgoing link j; counterflow[j] is the portion of that supply
-    reserved for the opposing stream.
+    reserved for the opposing stream.  A stack of same-shaped problems puts
+    the problem axis first: demands (n, n_in, n_out), the others (n, n_out).
     """
 
     demands: np.ndarray
@@ -53,15 +54,15 @@ class NodeFlowProblem:
             self.counterflow = np.zeros_like(self.supplies)
         else:
             self.counterflow = np.asarray(self.counterflow, dtype=float)
-        n_in, n_out = self.demands.shape
-        if self.supplies.shape != (n_out,) or self.counterflow.shape != (n_out,):
+        *stack, _, n_out = self.demands.shape
+        if len(stack) > 1 or not self.supplies.shape == self.counterflow.shape == (*stack, n_out):
             raise ValueError("supplies/counterflow must have one entry per outgoing link")
-        if not (self.demands >= 0).all():
-            raise ValueError("oriented demands must be nonnegative")
+        for field in ("demands", "counterflow"):
+            values = getattr(self, field)
+            if not ((values >= 0) & (values < np.inf)).all():
+                raise ValueError(f"{field} must be finite and nonnegative")
         if np.isnan(self.supplies).any():
             raise ValueError("supplies must be numbers (inf for a sink)")
-        if not (self.counterflow >= 0).all():
-            raise ValueError("counterflow reservations must be nonnegative")
 
 
 @dataclass
@@ -70,7 +71,7 @@ class NodeFlowSolution:
 
     flows: np.ndarray
     reductions: np.ndarray
-    clamped: tuple[int, ...] = ()
+    clamped: tuple[int, ...] = ()  # flat indices into the problem's supplies
 
     @property
     def total(self) -> float:
@@ -78,7 +79,7 @@ class NodeFlowSolution:
 
 
 def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
-    """Maximize the total transfer through a node.
+    """Maximize the total transfer through a node, or each node of a stack.
 
     Flows scale each incoming link's oriented demands by a single factor
     (proportional movements), never exceed demand, and leave every outgoing
@@ -87,22 +88,24 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     returned when their total is within 1e-9 (relative) of the simplex
     maximum, and otherwise the simplex's maximal-total vertex, unchanged.
     Negative reserved supply (reservation larger than the receiving flow)
-    clamps to zero and is reported in `clamped`.
+    clamps to zero and is reported in `clamped`.  The problems of a stack
+    are solved apart; the fair shares run in lockstep over them.
     """
-    S = problem.demands
-    n_in, n_out = S.shape
-    available, clamped = available_supply(problem.supplies, problem.counterflow)
+    *stack, n_in, n_out = problem.demands.shape
+    S = problem.demands.reshape(math.prod(stack), n_in, n_out)  # one problem is a stack of one
+    available, clamped = available_supply(problem.supplies.reshape(-1, n_out), problem.counterflow.reshape(-1, n_out))
     clamped = tuple(np.flatnonzero(clamped).tolist())
 
-    col_load = S.sum(axis=0)
-    if supply_fits(col_load, available, max(1.0, float(col_load.max(initial=0.0)))).all():
-        return NodeFlowSolution(S.copy(), np.ones(n_in), clamped)
-
-    q_fair, theta_fair = _equal_priority_shares(S, available)
-    q_max, theta_max = _max_total_vertex(S, available)
-    if q_fair.sum() >= q_max.sum() - 1e-9 * max(1.0, q_max.sum()):
-        return NodeFlowSolution(q_fair, theta_fair, clamped)
-    return NodeFlowSolution(q_max, theta_max, clamped)
+    col_load = S.sum(axis=1)
+    scale = np.maximum(1.0, col_load.max(axis=1, initial=0.0))
+    congested = np.flatnonzero(~supply_fits(col_load, available, scale[:, None]).all(axis=1))
+    flows, reductions = S.copy(), np.ones((len(S), n_in))
+    flows[congested], reductions[congested] = _equal_priority_shares(S[congested], available[congested])
+    for p in congested.tolist():
+        q_max, theta_max = _max_total_vertex(S[p], available[p])
+        if flows[p].sum() < q_max.sum() - 1e-9 * max(1.0, q_max.sum()):
+            flows[p], reductions[p] = q_max, theta_max
+    return NodeFlowSolution(flows.reshape(problem.demands.shape), reductions.reshape(*stack, n_in), clamped)
 
 
 def available_supply(supplies: np.ndarray, counterflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,40 +121,35 @@ def supply_fits(col_load: np.ndarray, available: np.ndarray, scale) -> np.ndarra
 
 
 def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
-    """Equal-priority supply sharing with redistribution of unused shares.
+    """Equal-priority supply sharing with redistribution of unused shares,
+    in lockstep over a stack of problems (S is (problems, in, out)).
 
-    Every pass pins down at least one incoming link: either links whose whole
-    demand fits their current shares, or the most constrained link at its
-    bottleneck share.  Freed shares then flow back to the remaining
-    competitors, so the result is the max-min fair transfer pattern.
+    Every pass pins down at least one incoming link of each unfinished
+    problem: either links whose whole demand fits their current shares, or
+    the most constrained link at its bottleneck share.  Freed shares then
+    flow back to the remaining competitors, so the result is the max-min
+    fair transfer pattern.
     """
-    rows = S.tolist()
-    theta = np.ones(len(rows))
-    q = np.zeros_like(S)
-    remaining = available.astype(float).copy()
-    active = [i for i, row in enumerate(rows) if sum(row) > 0]
-    while active:
-        competitors, left = (S[active] > 0).sum(axis=0).tolist(), remaining.tolist()
-        cand = []
-        for i in active:
-            t_i = 1.0
-            for j, s in enumerate(rows[i]):
-                if s > 0:
-                    ratio = left[j] / competitors[j] / s
-                    if ratio < t_i:
-                        t_i = ratio
-            cand.append(max(t_i, 0.0))
-        # the links whose demand fits whole, or else the most constrained ones
-        fit, t_min = max(cand) >= 1.0 - 1e-15, min(cand)
-        pinned = [c >= 1.0 - 1e-15 if fit else c <= t_min + 1e-15 for c in cand]
-        for i, c, pin in zip(active, cand, pinned):
-            if pin:
-                theta[i] = min(c, 1.0)
-                q[i] = theta[i] * S[i]
-                remaining -= q[i]
-        np.clip(remaining, 0.0, None, out=remaining)
-        active = [i for i, pin in zip(active, pinned) if not pin]
-    return q, theta
+    uses = S > 0
+    theta = np.ones(S.shape[:2])
+    remaining = available.copy()
+    started = active = uses.any(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # cells and columns no active link uses
+        while active.any():
+            used = uses & active[:, :, None]
+            ratio = (remaining / used.sum(axis=1))[:, None, :] / S
+            cand = np.where(used, ratio, 1.0).min(axis=2, initial=1.0)  # in [0, 1]: no supply left is negative
+            # the links whose demand fits whole, or else the most constrained ones
+            fit = np.where(active, cand, -np.inf).max(axis=1) >= 1.0 - 1e-15
+            t_min = np.where(active, cand, np.inf).min(axis=1)
+            pinned = active & np.where(fit[:, None], cand >= 1.0 - 1e-15, cand <= t_min[:, None] + 1e-15)
+            theta = np.where(pinned, cand, theta)
+            # pinned links take their flows from the supply left one after another, in row order
+            taken = np.where(pinned[:, :, None], theta[:, :, None] * S, 0.0)
+            remaining = np.subtract.reduce(np.concatenate((remaining[:, None], taken), axis=1), axis=1)
+            np.clip(remaining, 0.0, None, out=remaining)
+            active = active & ~pinned
+    return np.where(started[:, :, None], theta[:, :, None] * S, 0.0), theta
 
 
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pedflow
 from pedflow.assignment import run_due
 from pedflow.config import LinkPenalty, ScenarioConfig
 from pedflow.engine import (
@@ -314,6 +319,10 @@ RUN_DIRECTORY_SHA256 = {
 
 @pytest.mark.parametrize("preset", sorted(RUN_DIRECTORY_SHA256))
 def test_preset_run_directory_is_byte_identical(preset, tmp_path):
+    """Every run-directory file hashes as recorded.  The hashes were recorded
+    with numpy 2.4 dispatching np.exp, np.power and np.log to its AVX-512
+    (X86_V4) code; under another dispatch presets 5 and 6 differ in the last
+    bits, which test_presets_agree_across_numpy_dispatch bounds."""
     scenario = generate_grid_scenario if preset <= 3 else generate_corridor_scenario
     net, demand, cfg = scenario(preset=preset)
     run_scenario(cfg, net, demand, tmp_path)
@@ -326,3 +335,47 @@ def test_preset_run_directory_is_byte_identical(preset, tmp_path):
             data = json.dumps(summary, indent=2, sort_keys=True).encode()
         digests[f.name] = hashlib.sha256(data).hexdigest()
     assert digests == RUN_DIRECTORY_SHA256[preset]
+
+
+# Runs presets 5 and 6 and saves their curves, gaps and numpy's dispatch targets.
+_DISPATCH_RUN = """
+import sys
+import numpy as np
+from pedflow.assignment import run_due
+from pedflow.scenarios import generate_corridor_scenario
+out = {"found": np.array(np.show_config(mode="dicts")["SIMD Extensions"]["found"])}
+for preset in (5, 6):
+    state, report = run_due(*generate_corridor_scenario(preset=preset))
+    out[f"U{preset}"], out[f"V{preset}"] = state.loading.U, state.loading.V
+    out[f"gaps{preset}"] = np.array(report.rel_gaps)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def _simd_found() -> list[str]:
+    try:
+        return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # a numpy without this report
+        return []
+
+
+@pytest.mark.skipif("X86_V4" not in _simd_found(), reason="numpy dispatches no X86_V4 (AVX-512) code here")
+def test_presets_agree_across_numpy_dispatch(tmp_path):
+    """Presets 5 and 6 under numpy's AVX-512 dispatch and with it disabled
+    (its AVX2 code): np.exp, np.power and np.log differ in the last bit
+    between the two, so the curves may differ by a few ulp of their values,
+    never more than 1e-12, and each gap by at most 1e-15."""
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(pedflow.__file__).resolve().parents[1])
+    runs = {}
+    for name, disabled in (("default", ""), ("avx2", "AVX512_SPR AVX512_ICL X86_V4")):
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_RUN, str(tmp_path / f"{name}.npz")],
+                              capture_output=True, text=True, env={**env, "NPY_DISABLE_CPU_FEATURES": disabled})
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = np.load(tmp_path / f"{name}.npz")
+    default, avx2 = runs["default"], runs["avx2"]
+    assert "X86_V4" in default["found"] and "X86_V4" not in avx2["found"]
+    for preset in (5, 6):
+        for curve in ("U", "V"):
+            np.testing.assert_allclose(avx2[f"{curve}{preset}"], default[f"{curve}{preset}"], rtol=1e-12, atol=1e-12)
+        assert np.abs(avx2[f"gaps{preset}"] - default[f"gaps{preset}"]).max() <= 1e-15

@@ -164,14 +164,15 @@ class TestOptimalityAndProportionality:
 
 
 @st.composite
-def node_problems(draw):
-    """Node problems of 1-4 incoming by 1-4 outgoing links.  Demands are
-    zero, quarters or arbitrary floats, with whole rows and columns zeroed
-    at random.  Each column is a sink (infinite supply, nothing reserved),
-    a reservation larger than its supply, or an available supply that is
-    arbitrary or within 1e-10 of the column's load, under a reservation
-    that is zero or arbitrary."""
-    n_in, n_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def node_problems(draw, shape=None):
+    """Node problems of 1-4 incoming by 1-4 outgoing links, or of the
+    (incoming, outgoing) shape given.  Demands are zero, quarters or
+    arbitrary floats, with whole rows and columns zeroed at random.  Each
+    column is a sink (infinite supply, nothing reserved), a reservation
+    larger than its supply, or an available supply that is arbitrary or
+    within 1e-10 of the column's load, under a reservation that is zero or
+    arbitrary."""
+    n_in, n_out = shape or (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     entry = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda v: v / 4), st.floats(1e-3, 5.0))
     S = np.array(draw(st.lists(st.lists(entry, min_size=n_out, max_size=n_out), min_size=n_in, max_size=n_in)))
     S[sorted(draw(st.sets(st.integers(0, n_in - 1), max_size=n_in)))] = 0.0
@@ -204,6 +205,35 @@ class TestSolverParity:
         assert got.clamped == want.clamped
 
 
+@st.composite
+def node_stacks(draw):
+    """1-6 node problems of one shape, up to 4 by 4, each drawn as
+    `node_problems` draws one."""
+    shape = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(st.lists(node_problems(shape), min_size=1, max_size=6))
+
+
+class TestStackParity:
+    @settings(max_examples=300, deadline=None)
+    @given(node_stacks())
+    def test_each_problem_of_a_stack_solves_as_alone(self, problems):
+        """solve_node on a stack returns, for every problem, the reference
+        solver's flows and reductions on that problem alone, bit for bit (the
+        sign of zero included); clamped holds flat indices into the stack's
+        supplies."""
+        stack = NodeFlowProblem(*(np.stack([getattr(p, field) for p in problems])
+                                  for field in ("demands", "supplies", "counterflow")))
+        got = solve_node(stack)
+        n_out = stack.supplies.shape[1]
+        clamped = []
+        for p, problem in enumerate(problems):
+            want = reference_nodemodel.reference_solve_node(problem)
+            assert got.flows[p].tobytes() == want.flows.tobytes()
+            assert got.reductions[p].tobytes() == want.reductions.tobytes()
+            clamped += [p * n_out + j for j in want.clamped]
+        assert got.clamped == tuple(clamped)
+
+
 class TestProblemChecks:
     @pytest.mark.parametrize("field, values", [
         ("demands", [[np.nan, 1.0]]),
@@ -214,6 +244,18 @@ class TestProblemChecks:
         # unchecked, a NaN demand dropped its row's 1.0 that fits, and a NaN
         # supply or reservation passed its column's whole demand
         args = {"demands": [[0.5, 1.0]], "supplies": [1.0, 1.0], "counterflow": [0.0, 0.0], field: values}
+        with pytest.raises(ValueError, match=field):
+            NodeFlowProblem(**args)
+
+    @pytest.mark.parametrize("field, values", [
+        ("demands", [[np.inf, 5.0]]),
+        ("counterflow", [np.inf, 0.0]),
+    ])
+    def test_infinity_is_rejected(self, field, values):
+        # unchecked, an infinite demand passed whole through finite supplies
+        # (the fit test's scale became inf), and an infinite reservation on a
+        # sink left inf - inf, a NaN column read as unlimited
+        args = {"demands": [[1.0, 2.0]], "supplies": [np.inf, 1.0], "counterflow": [0.0, 0.0], field: values}
         with pytest.raises(ValueError, match=field):
             NodeFlowProblem(**args)
 
