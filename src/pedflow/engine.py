@@ -339,10 +339,12 @@ def _write_link_state(result, path) -> None:
 
 
 def _write_node_trace(result, path) -> None:
-    def row(node, t, in_key, out_key, s_ij, r_j, s_tilde, q_ij):
-        in_label = "origin" if in_key < 0 else str(in_key)
-        out_label = "sink" if out_key < 0 else str(out_key)
-        return f"{node},{_fmt(t)},{in_label},{out_label},{_fmt(s_ij)},{_fmt(r_j)},{_fmt(s_tilde)},{_fmt(q_ij)}"
+    nodes, order = result.network.arrays.nodes, result.network.arrays.order
+
+    def row(node, t, in_key, out_key, s_ij, r_j, s_tilde, q_ij):  # node position, link rows (< 0: origin, sink)
+        in_label = "origin" if in_key < 0 else str(order[in_key])
+        out_label = "sink" if out_key < 0 else str(order[out_key])
+        return f"{nodes[node]},{_fmt(t)},{in_label},{out_label},{_fmt(s_ij)},{_fmt(r_j)},{_fmt(s_tilde)},{_fmt(q_ij)}"
 
     # a step's records at a time, so the whole file is never held
     steps = groupby(result.node_trace, key=itemgetter(1))

@@ -45,6 +45,7 @@ class LoadingResult:
         self.queued = np.zeros(n_dest)
         self.supply_clamps = 0
         self.unroutable = 0.0
+        # (node position, t, in key, out key, S_ij, R_j, S_tilde_j, q_ij); keys are link rows or ORIGIN/SINK
         self.node_trace: list[tuple] = []
         self.fd_variant = "logistic"
         self.fd_gamma: float | None = None
@@ -145,7 +146,6 @@ def load_network(
     destinations = demand.destinations()
     n_dest = len(destinations)
     d_index = {d: i for i, d in enumerate(destinations)}
-    dest_ids = np.array(destinations, dtype=int)
     result = LoadingResult(network, grid, destinations)
     result.fd_variant = fd_variant
     result.fd_gamma = fd_gamma
@@ -154,17 +154,16 @@ def load_network(
     dt = grid.dt
     arrays = network.arrays
     n_links = len(arrays.order)
-    link_ids = np.array(arrays.order, dtype=int)
-    in_key_of = np.append(link_ids, ORIGIN)  # sender row n_links is an origin queue
+    dest_nodes = np.array([arrays.node_index[d] for d in destinations], dtype=np.intp)
     L, VF, CAP, twin = arrays.length, arrays.v_f, arrays.capacity, arrays.twin
 
-    # demand release schedule: bin -> [(origin node, destination column, persons)]
+    # demand release schedule: bin -> [(origin node position, destination column, persons)]
     schedule: dict[int, list[tuple[int, int, float]]] = {}
     for e in demand.entries:
         if e.rate <= 0:
             continue
         b = grid.bin_of(e.depart_s)
-        schedule.setdefault(b, []).append((e.origin, d_index[e.destination], e.rate * dt))
+        schedule.setdefault(b, []).append((arrays.node_index[e.origin], d_index[e.destination], e.rate * dt))
         result.demanded[d_index[e.destination]] += e.rate * dt
     # one queue row per origin, in the order of its first release
     released = [schedule[b] for b in sorted(schedule) if 0 <= b < n_bins]
@@ -191,9 +190,7 @@ def load_network(
             vhat = fd.effective_speed_profile(VF[live], rho, fd_variant, fd_gamma)
             S = ltm.sending_flows_at(U, V, t, dt, L[live], np.maximum(vhat, 1e-15), CAP[live], live)
         S[vhat <= 0] = 0.0
-        snd_node, snd_row, snd_queue, persons = _senders(t, U, V, Ud, live, S, queues, origin_nodes,
-                                                         arrays.to_node, n_links)
-        snd_key = in_key_of[snd_row]
+        snd_node, snd_key, snd_queue, persons = _senders(t, U, V, Ud, live, S, queues, origin_nodes, arrays.head)
 
         # movements (sender, destination, out key, persons), by sender, destination, out key
         m_snd, m_d = np.nonzero(persons > EPS)
@@ -201,7 +198,7 @@ def load_network(
             _carry_forward((U, V, Ud, Vd), live, t)
             continue
         p = persons[m_snd, m_d]
-        query, m_key, frac = fractions.fractions(dest_ids[m_d], snd_node[m_snd], snd_key[m_snd], t)
+        query, m_key, frac = fractions.fractions(dest_nodes[m_d], snd_node[m_snd], snd_key[m_snd], t)
         stuck = np.ones(len(p), dtype=bool)
         stuck[query] = False
         for lost in p[stuck & (snd_key[m_snd] != ORIGIN)].tolist():  # queued persons stay queued, not lost
@@ -213,7 +210,7 @@ def load_network(
             _carry_forward((U, V, Ud, Vd), live, t)
             continue
 
-        step = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effective_storage, result)
+        step = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, arrays, effective_storage, result)
         if node_trace:
             shown = step.cell_demand > 0
             snd, col, s_ij = step.cell_sender[shown], step.cell_col[shown], step.cell_demand[shown]
@@ -227,13 +224,13 @@ def load_network(
         flow = step.theta[m_snd] * mass
         positive = flow > 0
         m_snd, m_d, m_key, flow = m_snd[positive], m_d[positive], m_key[positive], flow[positive]
-        to_sink, src_row = m_key == SINK, snd_row[m_snd]
-        from_queue = src_row == n_links
+        to_sink, src_row = m_key == SINK, snd_key[m_snd]
+        from_queue = src_row == ORIGIN
         np.add.at(result.completed, m_d[to_sink], flow[to_sink])
         np.subtract.at(queues, (snd_queue[m_snd[from_queue]], m_d[from_queue]), flow[from_queue])
         np.add.at(result.loaded, m_d[from_queue], flow[from_queue])
         np.clip(queues, 0.0, None, out=queues)
-        dst_row = np.searchsorted(link_ids, m_key[~to_sink])
+        dst_row = m_key[~to_sink]
         if not entered[dst_row].all():
             entered[dst_row] = True
             live = np.flatnonzero(entered)
@@ -260,13 +257,13 @@ def _carry_forward(curves, live, t) -> None:
         curve[live, ..., t + 1] = curve[live, ..., t]
 
 
-def _senders(t, U, V, Ud, live, S, queues, origin_nodes, to_node, n_links):
+def _senders(t, U, V, Ud, live, S, queues, origin_nodes, head):
     """The step's senders by node ascending: each node's sending in-links in
     row order, then its origin queue if it holds anyone.
 
-    Returns per sender its node, its row (n_links for an origin), its queue
-    row (-1 for a link) and its persons per destination: the FIFO split of
-    the link's sending window, or the whole queue.
+    Returns per sender its node position, its key (the link row, or ORIGIN),
+    its queue row (-1 for a link) and its persons per destination: the FIFO
+    split of the link's sending window, or the whole queue.
     """
     sending = S > EPS
     link_rows, queued = live[sending], np.flatnonzero(queues.sum(axis=1) > EPS)
@@ -274,11 +271,11 @@ def _senders(t, U, V, Ud, live, S, queues, origin_nodes, to_node, n_links):
     if link_rows.size:
         r0 = V[link_rows, t]
         persons.insert(0, ltm.split_by_entry_order(U, Ud, r0, r0 + S[sending], t, link_rows))
-    node = np.concatenate((to_node[link_rows], origin_nodes[queued]))
-    row = np.concatenate((link_rows, np.full(len(queued), n_links)))
+    node = np.concatenate((head[link_rows], origin_nodes[queued]))
+    key = np.concatenate((link_rows, np.full(len(queued), ORIGIN)))
     queue = np.concatenate((np.full(len(link_rows), -1), queued))
-    order = np.lexsort((row, node))
-    return node[order], row[order], queue[order], np.concatenate(persons)[order]
+    order = np.lexsort((queue, node))  # stable: links in live's ascending row order, the queue last
+    return node[order], key[order], queue[order], np.concatenate(persons)[order]
 
 
 class _NodeStep(NamedTuple):
@@ -294,7 +291,7 @@ class _NodeStep(NamedTuple):
     reserved: np.ndarray  # per column
 
 
-def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effective_storage, result) -> _NodeStep:
+def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, arrays, effective_storage, result) -> _NodeStep:
     """Node transfers of one step's movements (sender, out key, persons).
 
     A node's demand matrix has its senders as rows and its used out keys,
@@ -315,7 +312,7 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, link_ids, arrays, effect
     supplies, reserved = np.full(len(col_key), np.inf), np.zeros(len(col_key))
     out = np.flatnonzero(col_key != SINK)
     if out.size:
-        rows = np.searchsorted(link_ids, col_key[out])
+        rows = col_key[out]
         storage = arrays.storage[rows]
         if effective_storage:
             storage = fd.density_ratio_profile(k, arrays.twin, rows) * storage

@@ -211,7 +211,6 @@ class LinkArrays:
         self.k_jam = np.array([l.k_jam for l in links])
         self.omega = np.array([l.omega for l in links])
         self.capacity = np.array([l.capacity for l in links])
-        self.to_node = np.array([l.to_node for l in links], dtype=int)
         self.twin = np.array(
             [-1 if l.opposite is None else self.index[l.opposite] for l in links], dtype=int
         )
@@ -325,10 +324,10 @@ def validate_demand(network: Network, demand: DemandProfile, grid: TimeGrid | No
 class Trees:
     """Shortest-path trees, one column per (cost bin, destination) pair.
 
-    Row c of `dist` and `succ` is the tree toward destinations[c] under the
-    link costs of bin bins[c], with one entry per node at node_index[node id].
-    dist is the minimal route time to the destination, inf where the
-    destination cannot be reached; succ is the id of the first link of the
+    Row c of `dist` and `succ` is the tree toward node id destinations[c], at
+    node position dest_nodes[c], under the link costs of bin bins[c], one entry
+    per node position.  dist is the minimal route time, inf where the
+    destination cannot be reached; succ is the first link's row on the
     cheapest route, -1 at the destination and where it cannot be reached.
     """
 
@@ -336,7 +335,7 @@ class Trees:
     destinations: np.ndarray
     dist: np.ndarray
     succ: np.ndarray
-    node_index: dict[int, int]
+    dest_nodes: np.ndarray
 
 
 def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> Trees:
@@ -393,7 +392,7 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
     arcs = arrays.out_arcs
     if arcs.size:
         out_tail, out_head = arrays.tail[arcs], arrays.head[arcs]
-        out_ids = np.append(np.asarray(arrays.order)[arcs], -1)
+        out_rows = np.append(arcs, -1)
         positions = np.arange(arcs.size)
         for b in used.tolist():
             rows = np.flatnonzero(bins == b)
@@ -402,9 +401,9 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
             d_tail = d[:, out_tail]
             tight = np.isfinite(cand) & (cand <= d_tail + 1e-9 * np.maximum(1.0, d_tail))
             first = np.minimum.reduceat(np.where(tight, positions, arcs.size), arrays.out_starts, axis=1)
-            succ[rows[:, None], arrays.out_nodes] = out_ids[first]
+            succ[rows[:, None], arrays.out_nodes] = out_rows[first]
         succ[cols, dest] = -1
-    return Trees(bins, destinations, dist, succ, arrays.node_index)
+    return Trees(bins, destinations, dist, succ, dest)
 
 
 def enumerate_paths(

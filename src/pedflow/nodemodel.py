@@ -230,7 +230,8 @@ class TurningFractions:
 
     `movements` holds flat arrays (dest, node, in_key, out_key, bin, mass):
     one entry per contribution of route flow, in the order they are summed
-    (`paths_to_turning_fractions` builds them).  They become dense arrays:
+    (`paths_to_turning_fractions` builds them); dest and node are node
+    positions, the keys link rows or ORIGIN/SINK.  They become dense arrays:
     groups numbers the distinct (dest, node, in_key) keys, and group g's
     movements are rows first[g] to first[g] + count[g] of mass (movement,
     bin), out keys ascending.  Each mass cell sums its contributions in
@@ -259,19 +260,20 @@ class TurningFractions:
         by_seen = np.argsort(seen)
         np.add.at(self.totals, group[seen[by_seen]], self.mass[by_seen])
         # per destination and bin, the tree column of the latest tree bin at or
-        # before it (its first tree before that); row tree_row[dest] of tree_cols
-        tree_dests = sorted(set(trees.destinations.tolist()))
-        self.tree_row = {d: i for i, d in enumerate(tree_dests)}
+        # before it (its first tree before that); row tree_row[dest] (-1: no tree) of tree_cols
+        tree_dests = sorted(set(trees.dest_nodes.tolist()))
+        self.tree_row = np.full(trees.dist.shape[1], -1, dtype=np.intp)
+        self.tree_row[tree_dests] = np.arange(len(tree_dests))
         self.tree_cols = np.zeros((len(tree_dests), n_bins), dtype=np.intp)
-        order = np.lexsort((trees.bins, trees.destinations))
+        order = np.lexsort((trees.bins, trees.dest_nodes))
         for i, d in enumerate(tree_dests):
-            cols = order[trees.destinations[order] == d]
+            cols = order[trees.dest_nodes[order] == d]
             pos = np.searchsorted(trees.bins[cols], np.arange(n_bins), side="right") - 1
             self.tree_cols[i] = cols[np.maximum(pos, 0)]
 
     @property
-    def destinations(self) -> list[int]:
-        return sorted({key[0] for key in self.groups} | set(self.tree_row))
+    def destinations(self) -> list[int]:  # node positions
+        return sorted({key[0] for key in self.groups} | set(np.flatnonzero(self.tree_row >= 0).tolist()))
 
     def fractions(self, dests, nodes, in_keys, t_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized splits of many incoming links at one instant, as flat arrays.
@@ -319,13 +321,11 @@ class TurningFractions:
         return query[order], out_keys[order], fracs[order]
 
     def _successor(self, dests, nodes, t):
-        """Successor link of each (dest, node) in the dest's tree column at bin t, -1 where none."""
-        rows = np.array([self.tree_row.get(d, -1) for d in dests.tolist()], dtype=np.intp)
+        """Successor link row of each (dest, node) in the dest's tree column at bin t, -1 where none."""
+        rows = self.tree_row[dests]
         out = np.full(len(dests), -1)
-        has = np.flatnonzero(rows >= 0)
-        if has.size:
-            at = [self.trees.node_index[n] for n in nodes[has].tolist()]
-            out[has] = self.trees.succ[self.tree_cols[rows[has], t], at]
+        has = rows >= 0
+        out[has] = self.trees.succ[self.tree_cols[rows[has], t], nodes[has]]
         return out
 
 
@@ -352,14 +352,12 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
         dests = sorted({path.od[1] for path, _, _ in path_flows})
         trees = shortest_paths(network, arrays.free_flow[:, None], [0] * len(dests), dests)
     n_bins, dt = grid.n_bins, grid.dt
-    link_ids = np.array(arrays.order, dtype=int)
-    from_node = np.array(arrays.nodes, dtype=int)[arrays.tail]
     n = len(path_flows)
     lengths = np.array([len(path.link_ids) for path, _, _ in path_flows], dtype=int)
     padded = np.zeros((n, lengths.max(initial=0)), dtype=np.intp)  # link rows, route order, zero-padded
     padded[lengths[:, None] > np.arange(padded.shape[1])] = [arrays.index[lid] for path, _, _ in path_flows
                                                               for lid in path.link_ids]
-    dest = np.array([path.od[1] for path, _, _ in path_flows], dtype=int)
+    dest = np.array([arrays.node_index[path.od[1]] for path, _, _ in path_flows], dtype=int)
     k = np.array([k for _, k, _ in path_flows], dtype=int)
     flow = np.array([f for _, _, f in path_flows], dtype=float)
     col = np.minimum(k, costs.shape[1] - 1)
@@ -370,9 +368,9 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
     for j in range(padded.shape[1]):
         on = np.flatnonzero(lengths > j)
         r = padded[on, j]
-        parts.append((on, from_node[r], in_key[on], link_ids[r], t[on]))
+        parts.append((on, arrays.tail[r], in_key[on], r, t[on]))
         t[on] += costs[r, col[on]]
-        in_key[on] = link_ids[r]
+        in_key[on] = r
     parts.append((np.arange(n), dest, in_key, np.full(n, SINK), t))
     item, node, ins, outs, when = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(item, kind="stable")  # item by item, each in route order

@@ -7,7 +7,8 @@ lookup) are left out.  `paths_to_turning_fractions` is that version's
 function, verbatim, calling `add_mass` once per (path, departure bin, link)
 and once more for the sink.  `turning_fractions` is the dict lookup the
 per-node loader made on it: one (destination, node, in key, bin) query
-per call.
+per call, in node and link ids; only its read of the successor tree, whose
+entries are node positions and link rows, converts through `arrays`.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
     return tf
 
 
-def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list[tuple[int, float]]:
+def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int, arrays) -> list[tuple[int, float]]:
     """Normalized split [(out_key, fraction), ...] for one incoming link.
 
     The movement mass at this instant decides; without any, residual
@@ -101,5 +102,6 @@ def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list
         if total > 1e-15:
             return [(key, arr[t] / total) for key, arr in sorted(outs.items()) if arr[t] > 0]
     cols = tf._columns.get(dest)
-    lid = -1 if cols is None else int(tf.trees.succ[cols[t], tf.trees.node_index[node]])
+    row = -1 if cols is None else int(tf.trees.succ[cols[t], arrays.node_index[node]])
+    lid = -1 if row < 0 else arrays.order[row]
     return [(lid, 1.0)] if lid >= 0 else []

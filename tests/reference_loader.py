@@ -6,7 +6,10 @@ lookup it called are the functions below.  The split is copied verbatim
 from `ltm` of the same version (its `_rank_position` lives in
 `reference_route_times`).  The lookup reads the dense arrays of
 `nodemodel.TurningFractions` one key at a time, its total from the stored
-group totals, so it stays independent of `TurningFractions.fractions`.
+group totals, so it stays independent of `TurningFractions.fractions`; it
+takes and returns node and link ids, and converts them through `arrays` to
+the node positions and link rows the class holds.  The end node of each
+link is read as `arrays.nodes` at `arrays.head`.
 It loops over the active nodes of every step and calls `solve_node` on
 each of them.  The link kernels it calls (`ltm.sending_flows_at`,
 `ltm.receiving_flows_at`, `ltm.counterflow_at`, `fd.density_ratio_profile`)
@@ -48,7 +51,7 @@ def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank: float, t: int) -> np
     return Ud[:, b] * (1.0 - frac) + Ud[:, b + 1] * frac
 
 
-def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list[tuple[int, float]]:
+def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int, arrays) -> list[tuple[int, float]]:
     """Normalized split [(out_key, fraction), ...] for one incoming link.
 
     The movement mass at this instant decides; without any, residual
@@ -58,14 +61,19 @@ def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int) -> list
     if node == dest:
         return [(SINK, 1.0)]
     t = min(t_idx, tf.n_bins - 1)
-    g = tf.groups.get((dest, node, in_key))
+
+    def link_id(row):  # SINK and -1 (no successor) stay themselves
+        return int(row) if row < 0 else arrays.order[row]
+
+    dest_pos, node_pos = arrays.node_index[dest], arrays.node_index[node]
+    g = tf.groups.get((dest_pos, node_pos, in_key if in_key == ORIGIN else arrays.index[in_key]))
     if g is not None:
         total = tf.totals[g, t]
         if total > 1e-15:
             moves = range(tf.first[g], tf.first[g] + tf.count[g])
-            return [(int(tf.out_key[m]), tf.mass[m, t] / total) for m in moves if tf.mass[m, t] > 0]
-    row = tf.tree_row.get(dest)
-    lid = -1 if row is None else int(tf.trees.succ[tf.tree_cols[row, t], tf.trees.node_index[node]])
+            return [(link_id(tf.out_key[m]), tf.mass[m, t] / total) for m in moves if tf.mass[m, t] > 0]
+    row = tf.tree_row[dest_pos]
+    lid = -1 if row < 0 else link_id(tf.trees.succ[tf.tree_cols[row, t], node_pos])
     return [(lid, 1.0)] if lid >= 0 else []
 
 
@@ -122,7 +130,8 @@ def reference_load_network(
         R_all = np.append(ltm.receiving_flows_at(V, U, t, dt, L, OM, storage, CAP), np.inf)
         counterflow = np.append(ltm.counterflow_at(U, t, dt, twin, L, VF), 0.0)
 
-        active = set(arrays.to_node[S_all > eps].tolist()) | {o for o, q in queues.items() if q.sum() > eps}
+        active = (set(np.array(arrays.nodes)[arrays.head][S_all > eps].tolist())
+                  | {o for o, q in queues.items() if q.sum() > eps})
 
         dU = np.zeros((n_links, n_dest))
         dV = np.zeros((n_links, n_dest))
@@ -144,7 +153,7 @@ def reference_load_network(
                 for d, p in enumerate(persons.tolist()):
                     if p <= eps:
                         continue
-                    fracs = turning_fractions(fractions, destinations[d], node_id, in_key, t)
+                    fracs = turning_fractions(fractions, destinations[d], node_id, in_key, t, arrays)
                     if not fracs and in_key != ORIGIN:  # queued persons stay queued, not lost
                         result.unroutable += p
                     for key, frac in fracs:

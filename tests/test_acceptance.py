@@ -188,6 +188,41 @@ def test_criterion_05_bottleneck_shockwaves(preset_runs):
     assert time.perf_counter() - start < 5.0
 
 
+def test_bottleneck_front_moves_at_the_rankine_hugoniot_speed(preset_runs):
+    """Preset 4's two plateaus are states of the triangular diagram, and the
+    backward front between them moves at their Rankine-Hugoniot speed.
+
+    Upstream the peak demand walks freely: q1 = rate / width, k1 = q1 / v_f.
+    The queue passes the 1 m bottleneck's capacity v_f k_jam omega / (v_f +
+    omega) per metre of its width, so on the wide segments q2 is that over
+    their width and k2 = k_jam - q2 / omega, on the congested branch.  The
+    front fitted by detect_shockwaves lies within 0.01 m/s of
+    (q1 - q2) / (k1 - k2) = -0.1327 m/s."""
+    net, demand, cfg, state, _ = preset_runs[4]
+    res = state.loading
+    curves = {lid: (res.U[res.link_index[lid]], res.V[res.link_index[lid]]) for lid in net.links}
+    ts = build_time_space(net, curves, list(range(1, 11)), cfg.dt)
+    wide, narrow = net.link_between(1, 2), net.link_between(9, 10)
+    v_f, k_jam, omega = wide.v_f, wide.k_jam, wide.omega
+    q1 = max(e.rate for e in demand.entries) / wide.width
+    k1 = q1 / v_f
+    q2 = v_f * k_jam * omega / (v_f + omega) * narrow.width / wide.width
+    k2 = k_jam - q2 / omega
+    assert (k1, q1, k2, q2) == pytest.approx((0.667, 1.0, 4.3875, 0.50625), abs=5e-4)
+    # segment 2 while the demand is at its peak, segment 8 once the queue has reached it
+    for segment, bins, k, q in ((1, slice(30, 50), k1, q1), (7, slice(60, 80), k2, q2)):
+        np.testing.assert_allclose(ts.density[segment, bins], k, rtol=1e-9)
+        np.testing.assert_allclose(ts.flow[segment, bins], q, rtol=1e-9)
+    shock = (q1 - q2) / (k1 - k2)
+    assert shock == pytest.approx(-0.1327, abs=5e-5)
+
+    demand_end = max(e.depart_s for e in demand.entries if e.rate > 0)
+    backward = [f for f in detect_shockwaves(ts.slice_time(0.0, demand_end))
+                if f.direction == "backward" and f.positions.max() <= ts.x_edges[-2] + 1e-9]
+    front = max(backward, key=lambda f: len(f.times))
+    assert abs(front.speed - shock) <= 0.01
+
+
 def test_criterion_06_bidirectional_route_avoidance(preset_runs):
     net, demand, cfg, state, report = preset_runs[2]
     res = state.loading

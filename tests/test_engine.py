@@ -23,7 +23,7 @@ from pedflow.engine import (
     read_curves_csv,
     run_scenario,
 )
-from pedflow.network import DemandProfile, load_network
+from pedflow.network import DemandProfile, Network, load_network
 from pedflow.scenarios import generate_corridor_scenario, generate_grid_scenario
 
 EXPORTS = [
@@ -237,6 +237,41 @@ class TestRouteTimesExport:
             parts = line.split(",")
             assert float(parts[4]) > 0
             assert parts[5] == "incomplete" or float(parts[5]) > 0
+
+
+def renumbered(net, shift):
+    """The network with every link id, and every opposite, moved by shift."""
+    links = [replace(l, id=l.id + shift, opposite=None if l.opposite is None else l.opposite + shift)
+             for l in net.links.values()]
+    return Network(net.nodes.values(), links)
+
+
+@pytest.mark.parametrize("scenario, preset", [(generate_corridor_scenario, 4), (generate_grid_scenario, 2)])
+def test_runs_do_not_depend_on_link_ids(scenario, preset, tmp_path):
+    """Link ids moved by -3 (so -2 and -1, the values of SINK and ORIGIN,
+    are ids), by -2 (so link 1, which carries flow, is -1) or by +1000 give
+    the same curves and gaps bit for bit, and the node trace writes every
+    link under its own id."""
+    net, demand, cfg = scenario(preset=preset)
+    runs = {}
+    for shift in (0, -3, -2, 1000):
+        shifted = renumbered(net, shift)
+        state, report = run_due(shifted, demand, cfg)
+        run_scenario(cfg, shifted, demand, tmp_path / str(shift))
+        trace = [line.split(",") for line in (tmp_path / str(shift) / "node_trace.csv").read_text().splitlines()]
+        runs[shift] = state.loading, report.rel_gaps, trace
+    base, gaps, trace = runs[0]
+    for shift, (result, rel_gaps, shifted_trace) in runs.items():
+        for name in ("U", "V", "Ud", "Vd"):
+            assert getattr(result, name).tobytes() == getattr(base, name).tobytes(), (shift, name)
+        assert rel_gaps == gaps
+        unshifted = [[str(int(f) - shift) if i in (2, 3) and f not in ("origin", "sink") else f
+                      for i, f in enumerate(row)] for row in shifted_trace[1:]]
+        assert [shifted_trace[0]] + unshifted == trace
+    assert base.completed.sum() == pytest.approx(base.demanded.sum(), rel=1e-12)  # every trip arrives
+    for shift, link_id in ((-3, "-2"), (-2, "-1")):
+        ins, outs = {row[2] for row in runs[shift][2]}, {row[3] for row in runs[shift][2]}
+        assert link_id in ins and link_id in outs
 
 
 # SHA-256 of every run-directory file of presets 1-6 at their shipped configs;

@@ -12,7 +12,7 @@ from pedflow.fd import FDParams, FDState, density_ratio, effective_speed, effect
 from pedflow.loading import load_network as load_flows
 from pedflow.ltm import _counts_up_to_rank
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
-from pedflow.nodemodel import paths_to_turning_fractions
+from pedflow.nodemodel import ORIGIN, SINK, paths_to_turning_fractions
 from pedflow.pvdf import experienced_route_times
 from pedflow.scenarios import DEFAULT_WIDTH, generate_corridor_scenario, make_corridor_network, make_grid_network
 import reference_route_times
@@ -319,18 +319,18 @@ class TestLoaderInvariants:
             assert np.array_equal(getattr(result, name), getattr(rerun, name)), name
 
         # the node trace's transfers add up to every link's exit and entry steps
-        n_bins, index = result.grid.n_bins, result.link_index
+        n_bins = result.grid.n_bins
         exits = np.zeros((len(result.link_order), n_bins))
         entries = np.zeros_like(exits)
         reduced = np.full(len(result.link_order), n_bins)  # first step a node cut the link's exits
-        for node, t_s, in_key, out_key, s_ij, _, _, q_ij in result.node_trace:
+        for node, t_s, in_key, out_key, s_ij, _, _, q_ij in result.node_trace:  # keys: link rows, < 0 origin/sink
             b = int(round(t_s / cfg.dt))
             if in_key >= 0:
-                exits[index[in_key], b] += q_ij
+                exits[in_key, b] += q_ij
                 if q_ij < s_ij:
-                    reduced[index[in_key]] = min(reduced[index[in_key]], b)
+                    reduced[in_key] = min(reduced[in_key], b)
             if out_key >= 0:
-                entries[index[out_key], b] += q_ij
+                entries[out_key, b] += q_ij
         scale = max(1.0, float(result.U.max()))
         assert np.allclose(exits, np.diff(result.V, axis=1), rtol=1e-9, atol=1e-9 * scale)
         assert np.allclose(entries, np.diff(result.U, axis=1), rtol=1e-9, atol=1e-9 * scale)
@@ -391,7 +391,11 @@ class TestLoaderParity:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.supply_clamps == want.supply_clamps
             assert got.unroutable == want.unroutable
-            assert got.node_trace == want.node_trace
+            nodes, order = network.arrays.nodes, network.arrays.order  # the trace in ids, as the reference keeps it
+            in_ids = [(nodes[node], t, ORIGIN if in_key == ORIGIN else order[in_key],
+                       SINK if out_key == SINK else order[out_key], *flows)
+                      for node, t, in_key, out_key, *flows in got.node_trace]
+            assert in_ids == want.node_trace
             return got
 
         run_due(net, demand, cfg, loader=both)

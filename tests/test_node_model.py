@@ -313,11 +313,25 @@ class TestLookAhead:
         assert reservation(net, 1, U, 1) == pytest.approx(expected, abs=1e-12)
 
 
-def lookup(tf, dest, node, in_key, t):
-    """One query of the array-form TurningFractions.fractions, as [(out_key, fraction), ...]."""
+def as_row(net, key):
+    """A link id's row; ORIGIN and SINK stay themselves."""
+    return key if key in (ORIGIN, SINK) else net.arrays.index[key]
+
+
+def as_positions(net, key):
+    """An id key (dest, node, link id or ORIGIN) as (dest position, node position, link row or ORIGIN)."""
+    dest, node, in_key = key
+    return net.arrays.node_index[dest], net.arrays.node_index[node], as_row(net, in_key)
+
+
+def lookup(net, tf, dest, node, in_key, t):
+    """One query of the array-form TurningFractions.fractions in node and link
+    ids, as [(out_key, fraction), ...]: positions and rows at the boundary."""
+    dest, node, in_key = as_positions(net, (dest, node, in_key))
     query, out_keys, fracs = tf.fractions([dest], [node], [in_key], t)
     assert (query == 0).all()
-    return list(zip(out_keys.tolist(), fracs.tolist()))
+    return [(SINK if key == SINK else net.arrays.order[key], frac)
+            for key, frac in zip(out_keys.tolist(), fracs.tolist())]
 
 
 class TestTurningFractions:
@@ -335,7 +349,7 @@ class TestTurningFractions:
             (net.path_from_nodes((7, 4)), 0, 1.0),
         ]
         tf = paths_to_turning_fractions(flows, net, grid)
-        assert tf.destinations == [4, 9]
+        assert [net.arrays.nodes[d] for d in tf.destinations] == [4, 9]
 
     def test_single_path_routes_everything(self):
         net, grid = self.grid_paths()
@@ -343,16 +357,16 @@ class TestTurningFractions:
         tf = paths_to_turning_fractions([(path, 0, 2.0)], net, grid)
         first_link = path.link_ids[0]
         second_link = path.link_ids[1]
-        assert lookup(tf, 9, 1, ORIGIN, 0) == [(first_link, 1.0)]
+        assert lookup(net, tf, 9, 1, ORIGIN, 0) == [(first_link, 1.0)]
         k_at_2 = int(net.links[first_link].free_flow_time)  # arrival bin at node 2
-        assert lookup(tf, 9, 2, first_link, k_at_2) == [(second_link, 1.0)]
+        assert lookup(net, tf, 9, 2, first_link, k_at_2) == [(second_link, 1.0)]
 
     def test_equal_split_at_diverge(self):
         net, grid = self.grid_paths()
         p1 = net.path_from_nodes((1, 2, 3, 6, 9))
         p2 = net.path_from_nodes((1, 4, 7, 8, 9))
         tf = paths_to_turning_fractions([(p1, 0, 1.5), (p2, 0, 1.5)], net, grid)
-        fracs = dict(lookup(tf, 9, 1, ORIGIN, 0))
+        fracs = dict(lookup(net, tf, 9, 1, ORIGIN, 0))
         assert fracs[p1.link_ids[0]] == pytest.approx(0.5)
         assert fracs[p2.link_ids[0]] == pytest.approx(0.5)
 
@@ -360,35 +374,36 @@ class TestTurningFractions:
         net, grid = self.grid_paths()
         path = net.path_from_nodes((1, 2, 3, 6, 9))
         tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid)
-        assert lookup(tf, 9, 9, path.link_ids[-1], 19) == [(SINK, 1.0)]
+        assert lookup(net, tf, 9, 9, path.link_ids[-1], 19) == [(SINK, 1.0)]
 
     @staticmethod
     def one_tree(net, dest, successors):
+        pos = net.arrays.node_index
         succ = np.full((1, len(net.nodes)), -1)
         for node, lid in successors.items():
-            succ[0, net.arrays.node_index[node]] = lid
-        return Trees(np.array([0]), np.array([dest]), np.zeros(succ.shape), succ, net.arrays.node_index)
+            succ[0, pos[node]] = net.arrays.index[lid]
+        return Trees(np.array([0]), np.array([dest]), np.zeros(succ.shape), succ, np.array([pos[dest]]))
 
     def test_zero_flow_falls_back_to_successor(self):
         net, grid = self.grid_paths()
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {1: 1, 2: 5}))
-        assert lookup(tf, 9, 1, ORIGIN, 7) == [(1, 1.0)]
-        assert lookup(tf, 9, 2, 1, 0) == [(5, 1.0)]
+        assert lookup(net, tf, 9, 1, ORIGIN, 7) == [(1, 1.0)]
+        assert lookup(net, tf, 9, 2, 1, 0) == [(5, 1.0)]
 
     def test_no_route_gives_empty(self):
         net, grid = self.grid_paths()
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}))
-        assert lookup(tf, 9, 5, ORIGIN, 0) == []
+        assert lookup(net, tf, 9, 5, ORIGIN, 0) == []
 
     def test_sums_follow_contribution_order(self):
         # float sums that depend on their order: a cell sums its contributions
         # as given, a group total its out keys in the order they first appear
         net, grid = self.grid_paths()
-        movements = (np.full(6, 9), np.full(6, 5), np.full(6, ORIGIN), np.array([30, 10, 20, 10, 10, 10]),
+        movements = (np.full(6, 8), np.full(6, 4), np.full(6, ORIGIN), np.array([21, 9, 19, 9, 9, 9]),
                      np.array([0, 0, 0, 1, 1, 1]), np.array([0.1, 0.2, 0.3, 0.3, 0.2, 0.1]))
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}), movements)
-        g = tf.groups[(9, 5, ORIGIN)]
-        assert tf.out_key[tf.first[g]:tf.first[g] + tf.count[g]].tolist() == [10, 20, 30]
+        g = tf.groups[(8, 4, ORIGIN)]  # node positions of nodes 9 and 5; link rows
+        assert tf.out_key[tf.first[g]:tf.first[g] + tf.count[g]].tolist() == [9, 19, 21]
         assert 0.1 + 0.2 + 0.3 != 0.2 + 0.3 + 0.1
         assert tf.totals[g, 0] == 0.1 + 0.2 + 0.3
         assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
@@ -401,8 +416,9 @@ class TestTurningFractions:
         long, short = net.path_from_nodes((1, 2, 3, 6, 9)), net.path_from_nodes((2, 3, 6, 9))
         costs = np.full((len(net.links), grid.n_bins), 0.1)
         tf = paths_to_turning_fractions([(long, 0, 0.1), (short, 0, 0.2), (short, 0, 0.3)], net, grid, costs)
-        g = tf.groups[(9, 3, long.link_ids[1])]
-        assert tf.out_key[tf.first[g]] == long.link_ids[2] and tf.count[g] == 1
+        pos, row = net.arrays.node_index, net.arrays.index
+        g = tf.groups[(pos[9], pos[3], row[long.link_ids[1]])]
+        assert tf.out_key[tf.first[g]] == row[long.link_ids[2]] and tf.count[g] == 1
         assert tf.mass[tf.first[g], 0] == 0.1 + 0.2 + 0.3
 
     def test_entry_bin_tolerates_float_noise(self):
@@ -414,7 +430,8 @@ class TestTurningFractions:
             costs[net.arrays.index[lid]] = cost
         tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid, costs)
         assert 0.7 + 0.2 + 0.1 < 1.0
-        g = tf.groups[(6, 6, path.link_ids[-1])]
+        pos = net.arrays.node_index
+        g = tf.groups[(pos[6], pos[6], net.arrays.index[path.link_ids[-1]])]
         assert tf.mass[tf.first[g]].tolist() == [0.0, 1.0] + [0.0] * (grid.n_bins - 2)
 
 
@@ -467,11 +484,11 @@ class TestFractionsParity:
         net, grid, costs, items = case
         got = paths_to_turning_fractions(items, net, grid, costs)
         want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
-        assert sorted(got.groups) == sorted(want.movements)
+        assert sorted(got.groups) == sorted(as_positions(net, key) for key in want.movements)
         for key, outs in want.movements.items():
-            g = got.groups[key]
+            g = got.groups[as_positions(net, key)]
             rows = slice(got.first[g], got.first[g] + got.count[g])
-            assert got.out_key[rows].tolist() == sorted(outs)
+            assert got.out_key[rows].tolist() == [as_row(net, k) for k in sorted(outs)]
             assert got.mass[rows].tobytes() == np.array([outs[k] for k in sorted(outs)]).tobytes()
             total = np.zeros(grid.n_bins)
             for arr in outs.values():
@@ -487,16 +504,16 @@ class TestFractionsParity:
         net, grid, costs, items = case
         got = paths_to_turning_fractions(items, net, grid, costs)
         want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
-        assert got.destinations == want.destinations
+        assert [net.arrays.nodes[d] for d in got.destinations] == want.destinations
         keys = list(want.movements)
         keys += [(dest, node, ORIGIN) for dest in want.destinations for node in sorted(net.nodes)]
         keys += [(dest, dest, lid) for dest in want.destinations for lid in net.in_links[dest]]
         keys += [(node, node, ORIGIN) for node in sorted(net.nodes)]
-        dests, nodes, in_keys = (np.array(column) for column in zip(*keys))
+        dests, nodes, in_keys = (np.array(column) for column in zip(*(as_positions(net, key) for key in keys)))
         for t in range(grid.n_bins + 1):
             query, out_keys, fracs = got.fractions(dests, nodes, in_keys, t)
             expected = [(q, key, frac) for q, (dest, node, in_key) in enumerate(keys)
-                        for key, frac in reference_fractions.turning_fractions(want, dest, node, in_key, t)]
+                        for key, frac in reference_fractions.turning_fractions(want, dest, node, in_key, t, net.arrays)]
             assert query.tolist() == [q for q, _, _ in expected]
-            assert out_keys.tolist() == [key for _, key, _ in expected]
+            assert out_keys.tolist() == [as_row(net, key) for _, key, _ in expected]
             assert fracs.tobytes() == np.array([frac for _, _, frac in expected], dtype=float).tobytes()
