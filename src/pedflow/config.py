@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 class LinkPenalty:
     """Scheduled additive cost on one link from start_s until the end of the run."""
 
-    link_ref: str  # integer link id, or "from-to" node pair
+    link_ref: str  # integer link id, or "from-to" node pair (either may be negative: "-4--3")
     start_s: float
     added_cost_s: float
 
@@ -38,7 +38,7 @@ class LinkPenalty:
             penalty = cls(link_ref=ref.strip(), start_s=float(start), added_cost_s=float(cost))
         except ValueError as exc:
             raise ValueError(f"expected '<link>@<start_s>:<added_cost_s>', got {value!r}") from exc
-        if not re.fullmatch(r"-?\d+|\d+-\d+", penalty.link_ref):
+        if not re.fullmatch(r"-?\d+(--?\d+)?", penalty.link_ref):
             raise ValueError(f"link must be an integer id or '<from>-<to>', got {penalty.link_ref!r}")
         if not (math.isfinite(penalty.start_s) and 0 <= penalty.added_cost_s < math.inf):
             raise ValueError(f"start_s must be finite and added_cost_s finite and >= 0, got {value!r}")
@@ -49,9 +49,8 @@ class LinkPenalty:
 
     def resolve(self, network) -> int:
         """Link id in the given network, or ConfigError if it does not exist."""
-        if "-" in self.link_ref.lstrip("-"):
-            a, b = self.link_ref.split("-", 1)
-            link = network.link_between(int(a), int(b))
+        if pair := re.fullmatch(r"(-?\d+)-(-?\d+)", self.link_ref):
+            link = network.link_between(int(pair[1]), int(pair[2]))
             if link is None:
                 raise ConfigError(f"penalty references missing link {self.link_ref}")
             return link.id

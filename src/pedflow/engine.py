@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from pathlib import Path as FsPath
 
@@ -24,18 +24,9 @@ from . import pvdf
 from .assignment import run_due
 from .config import ConfigError, ScenarioConfig, write_config
 from .fd import effective_speed_profile
-from .network import (
-    DemandProfile,
-    Network,
-    load_network,
-    validate_demand,
-    validate_network,
-    validate_time_grid,
-    TimeGrid,
-    write_demand,
-    write_network,
-    write_table,
-)
+from .network import (DemandProfile, Network, TimeGrid, load_network, validate_demand, validate_network,
+                      validate_time_grid, write_demand, write_network, write_table)
+from .nodemodel import _group
 
 
 class SimulationInputError(Exception):
@@ -212,11 +203,8 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
             continue
         # split non-consecutive boundary indices into separate interface points
         splits = np.where(np.diff(idxs) > 1)[0] + 1
-        points = []
-        for cluster in np.split(idxs, splits):
-            w = jump[cluster, b]
-            x = float((ts.x_edges[cluster + 1] * w).sum() / w.sum())
-            points.append(x)
+        points = [float((ts.x_edges[cluster + 1] * jump[cluster, b]).sum() / jump[cluster, b].sum())
+                  for cluster in np.split(idxs, splits)]
         t = ts.t_offset + b * ts.dt
         open_tracks = [tr for tr in tracks if t - tr["times"][-1] <= 2.0 * ts.dt + 1e-9]
         for x in points:
@@ -235,8 +223,7 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
 
     fronts = []
     for tr in tracks:
-        times = np.array(tr["times"])
-        xs = np.array(tr["xs"])
+        times, xs = np.array(tr["times"]), np.array(tr["xs"])
         if len(times) < min_points:
             continue
         t_mean, x_mean = times.mean(), xs.mean()
@@ -244,12 +231,7 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
         if var <= 0:
             continue
         speed = float(((times - t_mean) * (xs - x_mean)).sum() / var)
-        if speed > 1e-9:
-            direction = "forward"
-        elif speed < -1e-9:
-            direction = "backward"
-        else:
-            direction = "stationary"
+        direction = "forward" if speed > 1e-9 else "backward" if speed < -1e-9 else "stationary"
         fronts.append(ShockFront(times, xs, speed, direction))
     fronts.sort(key=lambda f: (f.times[0], f.positions[0]))
     return fronts
@@ -285,14 +267,12 @@ def read_curves_csv(path):
         for line in fh:
             lid, t, u, v = line.strip().split(",")
             by_link.setdefault(int(lid), []).append((float(t), float(u), float(v)))
-    curves = {}
-    dt = None
+    curves, dt = {}, None
     for lid, rows in by_link.items():
-        rows.sort()
-        ts = [r[0] for r in rows]
-        if dt is None and len(ts) > 1:
-            dt = ts[1] - ts[0]
-        curves[lid] = (np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
+        t, u, v = np.array(sorted(rows)).T
+        if dt is None and len(t) > 1:
+            dt = float(t[1] - t[0])
+        curves[lid] = (u, v)
     if dt is None:
         raise SimulationInputError(f"{path}: not enough samples to infer dt")
     return dt, curves
@@ -306,28 +286,39 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _fmt_rows(values: np.ndarray) -> list[list[str]]:
+    """_fmt of every element of a 2-D array, as a list of row lists.  Each
+    distinct float64 bit pattern is formatted once, so -0.0 keeps its sign
+    and every NaN reads nan."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    number, first = _group(flat.view(np.int64))  # not np.unique: its first call adds resident memory
+    texts = np.array([_fmt(v) for v in flat[first].tolist()], dtype=object)
+    return texts[number].reshape(values.shape).tolist()
+
+
 def _write_matrix(ts: TimeSpaceMatrix, values: np.ndarray, path, network: Network) -> None:
-    header = "segment,x_start_m,x_end_m," + ",".join(_fmt(b * ts.dt) for b in range(values.shape[1]))
-    row = _row_format(values.shape[1] + 2)
-    edges, links = ts.x_edges.tolist(), [network.links[lid] for lid in ts.link_ids]
-    rows = (row(f"{l.from_node}-{l.to_node}", edges[s], edges[s + 1], *values[s].tolist())
-            for s, l in enumerate(links))
-    write_table(path, header, rows)
+    header = "segment,x_start_m,x_end_m," + ",".join(_fmt_rows(np.arange(values.shape[1])[None] * ts.dt)[0])
+    texts = _fmt_rows(np.column_stack((ts.x_edges[:-1], ts.x_edges[1:], values)))
+    links = (network.links[lid] for lid in ts.link_ids)
+    write_table(path, header, (",".join([f"{l.from_node}-{l.to_node}", *row]) for l, row in zip(links, texts)))
 
 
-def _row_format(n_values: int):
-    """Bound str.format for one CSV row: a key, then n_values numbers written as _fmt writes them."""
-    return ("{}" + ",{:.10g}" * n_values).format
+LINK_BLOCK = 4  # links formatted together; larger blocks write faster but raise the peak resident memory
 
 
 def _write_link_table(result, path, header: str, columns: list[np.ndarray]) -> None:
     """One row per link and instant of the (link row, instant) arrays in columns,
-    formatted and written a link at a time, so the whole file is never held."""
-    times = [b * result.grid.dt for b in range(columns[0].shape[1])]
-    row = _row_format(len(columns) + 1)
-    chunks = ("\n".join(map(row, repeat(lid), times, *(c[i].tolist() for c in columns)))
-              for i, lid in enumerate(result.link_order))
-    write_table(path, header, chunks)
+    formatted and written LINK_BLOCK links at a time, so the whole file is never held."""
+    times = _fmt_rows(np.arange(columns[0].shape[1])[None] * result.grid.dt)[0]
+
+    def blocks():
+        for start in range(0, len(result.link_order), LINK_BLOCK):
+            ids = result.link_order[start:start + LINK_BLOCK]
+            texts = _fmt_rows(np.stack([c[start:start + len(ids)].reshape(-1) for c in columns]))
+            keys = chain.from_iterable(repeat(str(lid), len(times)) for lid in ids)
+            yield "\n".join(map(",".join, zip(keys, times * len(ids), *texts)))
+
+    write_table(path, header, blocks())
 
 
 def _write_link_state(result, path) -> None:
@@ -339,17 +330,19 @@ def _write_link_state(result, path) -> None:
 
 
 def _write_node_trace(result, path) -> None:
-    nodes, order = result.network.arrays.nodes, result.network.arrays.order
+    nodes = [str(node) for node in result.network.arrays.nodes]
+    links = [str(lid) for lid in result.network.arrays.order]
 
-    def row(node, t, in_key, out_key, s_ij, r_j, s_tilde, q_ij):  # node position, link rows (< 0: origin, sink)
-        in_label = "origin" if in_key < 0 else str(order[in_key])
-        out_label = "sink" if out_key < 0 else str(order[out_key])
-        return f"{nodes[node]},{_fmt(t)},{in_label},{out_label},{_fmt(s_ij)},{_fmt(r_j)},{_fmt(s_tilde)},{_fmt(q_ij)}"
+    def step(records):  # node position, t, link rows (< 0: origin, sink), S_ij, R_j, S_tilde_j, q_ij
+        node, t, in_key, out_key, *values = zip(*records)
+        t, *values = _fmt_rows(np.array([t, *values]))
+        return "\n".join(map(",".join, zip([nodes[i] for i in node], t,
+                                          ["origin" if k < 0 else links[k] for k in in_key],
+                                          ["sink" if k < 0 else links[k] for k in out_key], *values)))
 
     # a step's records at a time, so the whole file is never held
-    steps = groupby(result.node_trace, key=itemgetter(1))
     write_table(path, "node,t,in,out,S_ij,R_j,S_tilde_j,q_ij",
-                ("\n".join(row(*rec) for rec in records) for _, records in steps))
+                (step(records) for _, records in groupby(result.node_trace, key=itemgetter(1))))
 
 
 def _write_path_flows(state, path) -> None:
@@ -368,10 +361,7 @@ def _write_route_times(state, result, path) -> None:
                                                [k * dt for *_, k in trips], result.fd_travel_times,
                                                result.grid.horizon)
 
-    def row(trip, exp):
-        od, path_id, pos, k = trip
-        exp_label = "incomplete" if math.isnan(exp) else _fmt(exp)
-        return f"{od[0]},{od[1]},{path_id},{_fmt(k * dt)},{_fmt(state.path_times[od][path_id, pos])},{exp_label}"
-
-    write_table(path, "origin,destination,path_id,depart_s,instantaneous_s,experienced_s",
-                map(row, trips, experienced.tolist()))
+    rows = (f"{od[0]},{od[1]},{path_id},{_fmt(k * dt)},{_fmt(state.path_times[od][path_id, pos])},"
+            + ("incomplete" if math.isnan(exp) else _fmt(exp))
+            for (od, path_id, pos, k), exp in zip(trips, experienced.tolist()))
+    write_table(path, "origin,destination,path_id,depart_s,instantaneous_s,experienced_s", rows)

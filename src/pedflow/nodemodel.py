@@ -101,7 +101,11 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     congested = np.flatnonzero(~supply_fits(col_load, available, scale[:, None]).all(axis=1))
     flows, reductions = S.copy(), np.ones((len(S), n_in))
     flows[congested], reductions[congested] = _equal_priority_shares(S[congested], available[congested])
-    for p in congested.tolist():
+    # the simplex runs only where its maximum may beat the fair total by the 1e-9: the
+    # bound caps the maximum, and half of the 1e-9 is kept as margin
+    bound = _max_total_bound(S[congested], available[congested])
+    short = flows[congested].sum(axis=(1, 2)) < bound - 0.5e-9 * np.maximum(1.0, bound)
+    for p in congested[short].tolist():
         q_max, theta_max = _max_total_vertex(S[p], available[p])
         if flows[p].sum() < q_max.sum() - 1e-9 * max(1.0, q_max.sum()):
             flows[p], reductions[p] = q_max, theta_max
@@ -152,62 +156,69 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     return np.where(started[:, :, None], theta[:, :, None] * S, 0.0), theta
 
 
+def _max_total_bound(S: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """An upper bound on the maximal total transfer of each problem of a stack: the
+    least, over the outgoing links j of finite supply, of available_j / (the smallest
+    movement fraction to j) plus the demands of the in-links not using j, and the
+    summed demands."""
+    row_tot = S.sum(axis=2)
+    uses = S > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without demand, links no row uses, sinks
+        min_phi = np.where(uses, S / row_tot[:, :, None], np.inf).min(axis=1)
+        through = np.where(uses, 0.0, row_tot[:, :, None]).sum(axis=1) + available / min_phi
+    return np.minimum(np.where(np.isfinite(available), through, np.inf).min(axis=1), row_tot.sum(axis=1))
+
+
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     """Exact maximum-total transfer via a small dense simplex (Bland's rule).
 
     Variables are the per-incoming-link totals; bounds are the demands and the
-    turn-fraction-weighted supply constraints.  Small and deterministic.
+    turn-fraction-weighted supply constraints.  Small and deterministic; the
+    tableau rows are lists of Python floats (float64, as numpy's would be).
     """
     n_in, n_out = S.shape
     row_tot = S.sum(axis=1)
     act = [i for i in range(n_in) if row_tot[i] > 0]
     theta = np.ones(n_in)
-    phi = S[act] / row_tot[act][:, None]  # movement fractions of each active row
+    demand = row_tot[act].tolist()
+    phi = (S[act] / row_tot[act][:, None]).T.tolist()  # movement fractions of each active row, by out-link
     sup_rows = [j for j in range(n_out) if math.isfinite(available[j])]
     n = len(act)
     m = n + len(sup_rows)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:n, :n] = np.eye(n)
-    T[:n, -1] = row_tot[act]
-    T[n:m, :n] = phi[:, sup_rows].T
-    T[n:m, -1] = available[sup_rows]
-    T[:m, n : n + m] = np.eye(m)
-    T[m, :n] = -1.0
+    eye = [[float(row == col) for col in range(m)] for row in range(m)]
+    T = [eye[row][:n] + eye[row] + [demand[row]] for row in range(n)]
+    T += [phi[j] + eye[row] + [float(available[j])] for row, j in enumerate(sup_rows, start=n)]
+    T.append([-1.0] * n + [0.0] * (m + 1))
     basis = list(range(n, n + m))
     for _ in range(PIVOTS_PER_DIMENSION * (m + n)):
-        enter = -1
-        for col in range(n + m):
-            if T[m, col] < -1e-12:
-                enter = col
-                break
+        enter = next((col for col in range(n + m) if T[m][col] < -1e-12), -1)
         if enter < 0:
             break
         leave, best, best_bv = -1, math.inf, math.inf
         for row in range(m):
-            coef = T[row, enter]
+            coef = T[row][enter]
             if coef > 1e-12:
-                ratio = T[row, -1] / coef
+                ratio = T[row][-1] / coef
                 if ratio < best - 1e-12 or (ratio < best + 1e-12 and basis[row] < best_bv):
                     leave, best, best_bv = row, ratio, basis[row]
         if leave < 0:
             raise RuntimeError("node transfer program is unbounded")  # cannot happen: demands bound it
-        T[leave] /= T[leave, enter]
+        pivot = T[leave][enter]
+        T[leave] = lead = [v / pivot for v in T[leave]]
         for row in range(m + 1):
-            if row != leave and T[row, enter] != 0.0:
-                T[row] -= T[row, enter] * T[leave]
+            f = T[row][enter]
+            if row != leave and f != 0.0:
+                T[row] = [v - f * w for v, w in zip(T[row], lead)]
         basis[leave] = enter
     else:
-        raise RuntimeError(
-            f"node transfer simplex hit its pivot cap ({PIVOTS_PER_DIMENSION * (m + n)}) before the optimum"
-        )
-    x = np.zeros(n)
+        raise RuntimeError(f"node transfer simplex hit its pivot cap ({PIVOTS_PER_DIMENSION * (m + n)}) "
+                           "before the optimum")
+    x = [0.0] * n
     for row, bv in enumerate(basis):
         if bv < n:
-            x[bv] = T[row, -1]
-    for pos, i in enumerate(act):
-        theta[i] = min(max(x[pos] / row_tot[i], 0.0), 1.0)
-    q = theta[:, None] * S
-    return q, theta
+            x[bv] = T[row][-1]
+    theta[act] = [min(max(v / d, 0.0), 1.0) for v, d in zip(x, demand)]
+    return theta[:, None] * S, theta
 
 
 def _group(*keys):

@@ -1,11 +1,14 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pedflow.config import KEYS, ConfigError, LinkPenalty, ScenarioConfig, parse_config, read_config, write_config
+from pedflow.network import Network
 from pedflow.pvdf import PvdfParams
+from pedflow.scenarios import generate_corridor_scenario
 
 
 def written(lo, hi):
@@ -14,8 +17,8 @@ def written(lo, hi):
 
 
 link_refs = st.one_of(
-    st.integers(1, 999).map(str),
-    st.tuples(st.integers(1, 999), st.integers(1, 999)).map(lambda ab: f"{ab[0]}-{ab[1]}"),
+    st.integers(-999, 999).map(str),
+    st.tuples(st.integers(-999, 999), st.integers(-999, 999)).map(lambda ab: f"{ab[0]}-{ab[1]}"),
 )
 
 
@@ -137,3 +140,22 @@ def test_unknown_keys_are_all_named():
 def test_penalties_keep_their_order_and_reference_form():
     cfg = parse_config("penalty = 4-7@20:1e4\npenalty = 12@0:5\n")
     assert cfg.penalties == (LinkPenalty("4-7", 20.0, 1e4), LinkPenalty("12", 0.0, 5.0))
+
+
+def test_penalty_names_a_link_by_negative_end_nodes():
+    """Corridor preset 4 with its node ids moved by -5 (1-10 become -4-5):
+    '-4--3' names the link from node -4 to node -3, as its id does."""
+    net, _, _ = generate_corridor_scenario(preset=4)
+    shifted = Network([replace(n, id=n.id - 5) for n in net.nodes.values()],
+                      [replace(l, from_node=l.from_node - 5, to_node=l.to_node - 5) for l in net.links.values()])
+    link = shifted.link_between(-4, -3)
+    by_nodes, by_id = parse_config(f"penalty = -4--3@0:1\npenalty = {link.id}@0:1\n").penalties
+    assert by_nodes == LinkPenalty("-4--3", 0.0, 1.0)
+    assert by_nodes.resolve(shifted) == by_id.resolve(shifted) == link.id
+    assert LinkPenalty.parse("-3--4@0:1").resolve(shifted) == shifted.link_between(-3, -4).id != link.id
+    assert LinkPenalty.parse("0-1@0:1").resolve(shifted) == shifted.link_between(0, 1).id
+    with pytest.raises(ConfigError, match="missing link -4--2"):
+        LinkPenalty.parse("-4--2@0:1").resolve(shifted)
+    for bad in ("-4---3", "--4-3", "-4-", "4--"):
+        with pytest.raises(ValueError, match="link must be"):
+            LinkPenalty.parse(f"{bad}@0:1")

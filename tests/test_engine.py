@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import pedflow
+import reference_writers
+from pedflow import engine
 from pedflow.assignment import run_due
 from pedflow.config import LinkPenalty, ScenarioConfig
 from pedflow.engine import (
     SimulationInputError,
     TimeSpaceMatrix,
     _fmt,
-    _row_format,
+    _fmt_rows,
     build_time_space,
     detect_shockwaves,
     export_time_space,
@@ -24,7 +26,7 @@ from pedflow.engine import (
     run_scenario,
 )
 from pedflow.network import DemandProfile, Network, load_network
-from pedflow.scenarios import generate_corridor_scenario, generate_grid_scenario
+from pedflow.scenarios import PRESET_PVDF, generate_corridor_scenario, generate_grid_scenario, make_grid_network
 
 EXPORTS = [
     "network.net", "demand.dem", "config.cfg", "cumulative_curves.csv",
@@ -104,17 +106,26 @@ class TestRowFormat:
     EDGES = [-0.0, 5e-324, 1e21, float("nan"), float("inf"), -float("inf"), 0.1, 1.0 / 3.0, 123456789012.5]
 
     def test_matches_fmt_on_edge_values(self):
-        # the curve and link-state writers format whole rows at once; each
-        # number must read as _fmt writes it, from Python or numpy floats
-        row = _row_format(len(self.EDGES))
+        # the curve, link-state and node-trace writers format whole blocks at
+        # once; each number must read as _fmt writes it, from Python or numpy floats
         expected = "7," + ",".join(_fmt(v) for v in self.EDGES)
-        assert row(7, *self.EDGES) == expected
-        assert row(7, *np.array(self.EDGES).tolist()) == expected
+        assert ",".join(["7", *_fmt_rows(np.array([self.EDGES]))[0]]) == expected
+        assert ",".join(["7", *_fmt_rows(np.array([np.array(self.EDGES).tolist()]))[0]]) == expected
         assert ",".join(_fmt(v) for v in np.array(self.EDGES)) == expected[2:]
 
     def test_one_value_per_field(self):
         for v in self.EDGES:
-            assert _row_format(1)(12, v) == f"12,{_fmt(v)}"
+            assert ",".join(["12", *_fmt_rows(np.array([[v]]))[0]]) == f"12,{_fmt(v)}"
+
+    def test_each_bit_pattern_keeps_its_text(self):
+        """-0.0 and 0.0 share an array but not a text; NaNs with a payload or a
+        sign read nan, as _fmt writes them; repeats keep their places."""
+        payload = np.array([0x7FF8_0000_0000_0123, -0x0008_0000_0000_0000], dtype=np.int64).view(np.float64)
+        values = np.array([[0.0, -0.0, payload[0], 0.1, -0.0], [payload[1], 0.0, np.nan, 0.1, 1e21]])
+        assert np.isnan(payload).all() and len({v.tobytes() for v in payload} | {np.float64(np.nan).tobytes()}) == 3
+        texts = _fmt_rows(values)
+        assert texts == [["0", "-0", "nan", "0.1", "-0"], ["nan", "0", "nan", "0.1", "1e+21"]]
+        assert texts == [[_fmt(v) for v in row] for row in values.tolist()]
 
 
 class TestTimeSpaceExport:
@@ -272,6 +283,41 @@ def test_runs_do_not_depend_on_link_ids(scenario, preset, tmp_path):
     for shift, link_id in ((-3, "-2"), (-2, "-1")):
         ins, outs = {row[2] for row in runs[shift][2]}, {row[3] for row in runs[shift][2]}
         assert link_id in ins and link_id in outs
+
+
+def test_writers_match_the_reference_writers(tmp_path, monkeypatch):
+    """On a congested 6x6 crossing (four corner streams at 40 ped/s, the node
+    trace on), the curve, link-state and node-trace files of the run
+    directory, and a time-space export, are the reference writers' byte for
+    byte."""
+    corners = (1, 6, 31, 36)
+    net = make_grid_network(6, origins=set(corners))
+    demand = DemandProfile()
+    for k in range(10):
+        for o, d in zip(corners, corners[::-1]):
+            demand.add(o, d, float(k), 40.0)
+    cfg = ScenarioConfig(dt=1.0, horizon=150.0, pvdf=PRESET_PVDF, max_iters=3, gap_tol=1e-15,
+                         node_trace=True, enumerate_paths=False)
+    runs = []
+    monkeypatch.setattr(engine, "run_due", lambda *args: runs.append(run_due(*args)) or runs[-1])
+    run_scenario(cfg, net, demand, tmp_path / "run")
+    result = runs[0][0].loading
+    trace = np.array([record[4:] for record in result.node_trace])  # S_ij, R_j, S_tilde_j, q_ij
+    assert result.supply_clamps > 0 and (trace[:, 3] < trace[:, 0] - 1e-9).sum() > 100  # congested
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    reference_writers._write_link_table(result, ref / "cumulative_curves.csv", "link,t,U,V", [result.U, result.V])
+    reference_writers._write_link_state(result, ref / "link_state.csv")
+    reference_writers._write_node_trace(result, ref / "node_trace.csv")
+    for name in ("cumulative_curves.csv", "link_state.csv", "node_trace.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (ref / name).read_bytes(), name
+    path = [1, 2, 3, 9, 15, 21, 27, 33, 34, 35, 36]
+    density, flow = export_time_space(tmp_path / "run", path)
+    ts = build_time_space(net, read_curves_csv(tmp_path / "run" / "cumulative_curves.csv")[1], path, cfg.dt)
+    reference_writers._write_matrix(ts, ts.density, ref / "density.csv", net)
+    reference_writers._write_matrix(ts, ts.flow, ref / "flow.csv", net)
+    assert Path(density).read_bytes() == (ref / "density.csv").read_bytes()
+    assert Path(flow).read_bytes() == (ref / "flow.csv").read_bytes()
 
 
 # SHA-256 of every run-directory file of presets 1-6 at their shipped configs;

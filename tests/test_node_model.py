@@ -146,6 +146,19 @@ class TestOptimalityAndProportionality:
                         S[i] / S_tot[i], abs=1e-9
                     )
 
+    def test_screen_bound_is_at_least_the_maximal_total(self):
+        # the bound lets solve_node skip the simplex; it must never undercut the optimum
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n_in, n_out = rng.integers(1, 5), rng.integers(1, 5)
+            S = rng.uniform(0.0, 3.0, size=(n_in, n_out)) * (rng.random(size=(n_in, n_out)) < 0.7)
+            available = rng.uniform(0.0, 4.0, size=n_out) * (rng.random(n_out) < 0.9)
+            available[rng.random(n_out) < 0.2] = np.inf  # sinks
+            bound = nodemodel._max_total_bound(S[None], available[None])[0]
+            best = brute_force_max_total(S, np.minimum(available, 1e6))  # a sink never binds at these demands
+            assert bound >= best * (1 - 1e-12)
+            assert bound <= S.sum() * (1 + 1e-12)
+
     def test_invariance_to_scaling_a_blocked_demand(self):
         S = np.array([[3.0], [1.0]])
         base = solve_node(NodeFlowProblem(S, np.array([1.0])))
@@ -232,6 +245,61 @@ class TestStackParity:
             assert got.reductions[p].tobytes() == want.reductions.tobytes()
             clamped += [p * n_out + j for j in want.clamped]
         assert got.clamped == tuple(clamped)
+
+
+@st.composite
+def decision_edge_problems(draw):
+    """Node problems whose fair total falls short of the maximal total by
+    about 0-2e-9 (relative), around the 1e-9 at which solve_node picks one.
+
+    A `node_problems` draw gets two more in-links and out-links: in-link A
+    sends only to out-link c, in-link B to c and to a sink, and each asks c
+    for more than half its supply.  The fair shares then cut B, which the
+    maximum favours, as only part of B's flow uses c.  Where B's demand to
+    c reaches c's supply, the bound that screens the simplex equals the
+    maximum.  The finite supplies are then moved toward the column loads
+    (where all demand fits and the totals agree) by bisection on the
+    shortfall, to a drawn target; the shortfall may jump where the fair
+    shares change their pinning order, so some draws end off the target.
+    """
+    problem = draw(node_problems())
+    available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
+    n_in, n_out = problem.demands.shape
+    cap = draw(st.floats(0.1, 5.0))
+    S = np.zeros((n_in + 2, n_out + 2))
+    S[:n_in, :n_out] = problem.demands
+    S[n_in, n_out] = draw(st.floats(cap / 2, 5.0, exclude_min=True))
+    S[n_in + 1, n_out:] = draw(st.floats(cap / 2, 2 * cap, exclude_min=True)), draw(st.floats(0.1, 5.0))
+    rows, cols = draw(st.permutations(range(n_in + 2))), draw(st.permutations(range(n_out + 2)))
+    S, available = S[rows][:, cols], np.concatenate((available, [cap, np.inf]))[cols]
+    load, finite = S.sum(axis=0), np.isfinite(available)
+
+    def supplies(s):
+        return np.where(finite, load + s * (np.where(finite, available, load) - load), np.inf)
+
+    def shortfall(s):
+        fair = reference_nodemodel.reference_equal_priority_shares(S, supplies(s))[0].sum()
+        best = reference_nodemodel.reference_max_total_vertex(S, supplies(s))[0].sum()
+        return (best - fair) / max(1.0, best)
+
+    target, lo, hi = draw(st.floats(0.0, 2e-9)), 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if shortfall(mid) > target else (mid, hi)
+    return NodeFlowProblem(S, supplies(draw(st.sampled_from([lo, hi]))))
+
+
+class TestDecisionEdgeParity:
+    @settings(max_examples=200, deadline=None)
+    @given(decision_edge_problems())
+    def test_bit_identical_to_the_reference_solver(self, problem):
+        """Where the fair total is about within 2e-9 of the maximum, solve_node
+        (which screens the simplex away where the fair shares cannot lose)
+        returns the reference solver's flows and reductions, bit for bit."""
+        got = solve_node(problem)
+        want = reference_nodemodel.reference_solve_node(problem)
+        assert got.flows.tobytes() == want.flows.tobytes()
+        assert got.reductions.tobytes() == want.reductions.tobytes()
 
 
 class TestProblemChecks:
