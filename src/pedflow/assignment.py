@@ -93,7 +93,7 @@ class AssignmentState:
         self.rates = {od: np.array([rates[od][k] for k in self.k_bins[od]]) for od in self.ods}
         self.paths: dict[tuple[int, int], list[Path]] = {od: [] for od in self.ods}
         # link_rows[od][row]: the cost-array rows of that path's links, in route order
-        self.link_rows: dict[tuple[int, int], list[np.ndarray]] = {od: [] for od in self.ods}
+        self.link_rows: dict[tuple[int, int], list[list[int]]] = {od: [] for od in self.ods}
         self._path_rows: dict[tuple[int, int], dict[tuple, int]] = {od: {} for od in self.ods}
         self.flows: dict[tuple[int, int], np.ndarray] = {
             od: np.zeros((0, len(self.k_bins[od]))) for od in self.ods
@@ -112,7 +112,7 @@ class AssignmentState:
             rows[path.link_ids] = row
             self.paths[od].append(path)
             index = self.network.arrays.index
-            self.link_rows[od].append(np.array([index[lid] for lid in path.link_ids], dtype=int))
+            self.link_rows[od].append([index[lid] for lid in path.link_ids])
             self.flows[od] = np.vstack([self.flows[od], np.zeros((1, self.flows[od].shape[1]))])
         return row
 
@@ -213,13 +213,13 @@ def run_due(network: Network, demand, cfg, loader=None):
             raise RuntimeError("loading produced non-finite link costs; aborting assignment")
 
         trees = shortest_paths(network, costs, bins, tree_destinations)
-        for r, s in state.ods:
+        rows = [state.link_rows[od][row] for od, row, _, _ in state.trips()]
+        times = pvdf.instantaneous_route_time(rows, costs, [min(k, last) for *_, k in state.trips()])
+        ends = np.cumsum([state.flows[od].size for od in state.ods])  # trips() runs od by od, row-major
+        for (r, s), od_times in zip(state.ods, np.split(times, ends[:-1])):
             cols = [column_of[k, s] for k in state.k_bins[r, s]]
             state.shortest_times[r, s] = trees.dist[cols, network.arrays.node_index[r]]
-            state.path_times[r, s] = np.empty((len(state.paths[r, s]), len(cols)))
-        for od, row, pos, k in state.trips():
-            state.path_times[od][row, pos] = pvdf.instantaneous_route_time(state.link_rows[od][row], costs,
-                                                                           min(k, last))
+            state.path_times[r, s] = od_times.reshape(state.flows[r, s].shape)
         state.iteration = n
         state.costs = costs
         gaps.append(relative_gap(state))

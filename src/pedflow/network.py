@@ -139,8 +139,8 @@ class Path:
             seq.append(network.links[lid].to_node)
         return tuple(seq)
 
-    def free_flow_time(self, network: "Network") -> float:
-        return sum(network.links[lid].free_flow_time for lid in self.link_ids)
+    def free_flow_time(self, network: "Network") -> float:  # summed left to right, on every Python version
+        return float(np.cumsum([network.links[lid].free_flow_time for lid in self.link_ids])[-1])
 
 
 class Network:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import shortest_paths
+from .pvdf import route_table
 
 # Virtual row/column keys used when a node problem includes trip ends.
 ORIGIN = -1  # incoming side: demand queued at an origin centroid
@@ -347,10 +348,10 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
     path's flow is projected forward through its nodes at the link costs
     frozen at the departure bin (costs: `(n_links, n_bins)`, rows in sorted
     link id order; free-flow times when None), and accumulated as movement
-    mass per (destination, node, incoming, outgoing).  All paths advance
-    together over link positions: a traveller enters its first link at
-    k * dt, each next one at t + costs[row, min(k, last column)], in bin
-    int(t / dt + 1e-9); arrivals past the horizon fold into the last bin.
+    mass per (destination, node, incoming, outgoing).  A traveller enters
+    its first link at k * dt, each next one at t + costs[row, min(k, last
+    column)] (one left-to-right cumsum per path), in bin int(t / dt + 1e-9);
+    arrivals past the horizon fold into the last bin.
     The movements come out item by item, each path in route order, which is
     the order their masses are summed.  `trees` (`network.Trees`) supplies
     the successor fallback; when None, free-flow trees toward the paths'
@@ -363,28 +364,21 @@ def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None
         dests = sorted({path.od[1] for path, _, _ in path_flows})
         trees = shortest_paths(network, arrays.free_flow[:, None], [0] * len(dests), dests)
     n_bins, dt = grid.n_bins, grid.dt
-    n = len(path_flows)
-    lengths = np.array([len(path.link_ids) for path, _, _ in path_flows], dtype=int)
-    padded = np.zeros((n, lengths.max(initial=0)), dtype=np.intp)  # link rows, route order, zero-padded
-    padded[lengths[:, None] > np.arange(padded.shape[1])] = [arrays.index[lid] for path, _, _ in path_flows
-                                                              for lid in path.link_ids]
+    lengths, padded = route_table([list(map(arrays.index.__getitem__, path.link_ids)) for path, _, _ in path_flows])
+    items = np.arange(len(lengths))
     dest = np.array([arrays.node_index[path.od[1]] for path, _, _ in path_flows], dtype=int)
     k = np.array([k for _, k, _ in path_flows], dtype=int)
     flow = np.array([f for _, _, f in path_flows], dtype=float)
     col = np.minimum(k, costs.shape[1] - 1)
 
-    t = k * dt
-    in_key = np.full(n, ORIGIN)
-    parts = []  # (item, node, in key, out key, entry instant) per link position, then the sinks
-    for j in range(padded.shape[1]):
-        on = np.flatnonzero(lengths > j)
-        r = padded[on, j]
-        parts.append((on, arrays.tail[r], in_key[on], r, t[on]))
-        t[on] += costs[r, col[on]]
-        in_key[on] = r
-    parts.append((np.arange(n), dest, in_key, np.full(n, SINK), t))
-    item, node, ins, outs, when = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(item, kind="stable")  # item by item, each in route order
-    item = item[order]
-    bins = np.minimum((when[order] / dt + 1e-9).astype(int), n_bins - 1)
-    return TurningFractions(n_bins, trees, (dest[item], node[order], ins[order], outs[order], bins, flow[item]))
+    # when[i, j]: path i enters its link j, or its sink at j = lengths[i]
+    when = np.cumsum(np.column_stack((k * dt, costs[padded, col[:, None]])), axis=1)
+    outs = np.column_stack((padded, np.zeros(len(items), np.intp)))
+    outs[items, lengths] = SINK
+    node = arrays.tail[outs]
+    node[items, lengths] = dest
+    ins = np.column_stack((np.full(len(items), ORIGIN), outs[:, :-1]))
+    on = np.arange(outs.shape[1]) <= lengths[:, None]  # row-major: item by item, each in route order
+    item = np.repeat(items, lengths + 1)
+    bins = np.minimum((when[on] / dt + 1e-9).astype(int), n_bins - 1)
+    return TurningFractions(n_bins, trees, (dest[item], node[on], ins[on], outs[on], bins, flow[item]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -120,14 +121,21 @@ def link_cost_profile(
     return cost
 
 
-def instantaneous_route_time(rows, costs: np.ndarray, k: int) -> float:
-    """Pre-trip route time: the sum of link costs all frozen at the departure bin.
+def route_table(link_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The route lengths, and each route's link rows in order as one zero-padded `(routes, longest)` array."""
+    lengths = np.array([len(rows) for rows in link_rows], dtype=int)
+    padded = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
+    padded[lengths[:, None] > np.arange(padded.shape[1])] = np.fromiter(chain.from_iterable(link_rows), np.intp)
+    return lengths, padded
 
-    `rows` are the rows of the path's links in the `(n_links, n_bins)` cost
-    array, in route order; `k` is the departure bin.  The sum runs left to
-    right over Python floats.
+
+def instantaneous_route_time(link_rows, costs: np.ndarray, bins) -> np.ndarray:
+    """Pre-trip route times: trip i sums the costs of its links link_rows[i] (rows of the `(n_links, n_bins)`
+    cost array, in route order), all frozen at its departure bin bins[i], left to right on every Python version.
     """
-    return sum(costs[rows, k].tolist())
+    lengths, padded = route_table(link_rows)
+    times = np.cumsum(costs[padded, np.asarray(bins, dtype=np.intp)[:, None]], axis=1)
+    return times[np.arange(len(lengths)), lengths - 1]
 
 
 def experienced_route_times(link_rows, departs, link_times: Callable, horizon: float | None = None) -> np.ndarray:
@@ -142,9 +150,7 @@ def experienced_route_times(link_rows, departs, link_times: Callable, horizon: f
     """
     departs = np.asarray(departs, dtype=float)
     horizon = np.inf if horizon is None else horizon
-    lengths = np.array([len(rows) for rows in link_rows], dtype=int)
-    padded = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)  # link rows, zero-padded
-    padded[lengths[:, None] > np.arange(padded.shape[1])] = [row for rows in link_rows for row in rows]
+    lengths, padded = route_table(link_rows)
     t = departs.copy()
     for j in range(padded.shape[1]):
         on = np.flatnonzero((lengths > j) & ~np.isnan(t))

@@ -1,7 +1,10 @@
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedflow.network import Path
 from pedflow.pvdf import (
@@ -111,24 +114,52 @@ class TestLinkCostProfile:
 class TestInstantaneousRouteTime:
     def test_free_flow_sum(self):
         costs = np.array([[2.0], [3.0], [4.5]])
-        assert instantaneous_route_time(np.array([0, 1, 2]), costs, 0) == pytest.approx(9.5)
+        assert instantaneous_route_time([np.array([0, 1, 2])], costs, [0])[0] == pytest.approx(9.5)
 
     def test_singleton(self):
-        assert instantaneous_route_time(np.array([0]), np.array([[3.25]]), 0) == 3.25
+        assert instantaneous_route_time([np.array([0])], np.array([[3.25]]), [0])[0] == 3.25
 
     def test_two_link_additivity(self):
-        assert instantaneous_route_time(np.array([0, 1]), np.array([[1.5], [2.5]]), 0) == 4.0
+        assert instantaneous_route_time([np.array([0, 1])], np.array([[1.5], [2.5]]), [0])[0] == 4.0
 
     def test_reads_the_departure_bin_column(self):
         costs = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0]])
-        assert instantaneous_route_time(np.array([2, 0]), costs, 0) == 5.0
-        assert instantaneous_route_time(np.array([2, 0]), costs, 1) == 50.0
+        assert instantaneous_route_time([np.array([2, 0])], costs, [0])[0] == 5.0
+        assert instantaneous_route_time([np.array([2, 0])], costs, [1])[0] == 50.0
 
     def test_left_to_right_python_float_sum(self):
         costs = np.array([[0.1], [0.2], [0.3]])
-        got = instantaneous_route_time(np.array([0, 1, 2]), costs, 0)
+        got, = instantaneous_route_time([np.array([0, 1, 2])], costs, [0]).tolist()
         assert got == (0.1 + 0.2) + 0.3
         assert type(got) is float
+
+    def test_path_free_flow_time_sums_left_to_right(self):
+        network = SimpleNamespace(links={lid: StubLink(tau, 8.0) for lid, tau in ((1, 0.1), (2, 0.2), (3, 0.3))})
+        got = Path(od=(1, 4), link_ids=(1, 2, 3)).free_flow_time(network)
+        assert got == (0.1 + 0.2) + 0.3
+        assert type(got) is float
+
+    def test_no_trips_give_an_empty_float_array(self):
+        got = instantaneous_route_time([], np.array([[1.0, 2.0]]), [])
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_call_matches_a_left_to_right_loop_per_trip(self, data):
+        n_links, n_bins = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n_links * n_bins, max_size=n_links * n_bins))
+        costs = np.array(cells).reshape(n_links, n_bins)
+        route = st.lists(st.integers(0, n_links - 1), min_size=1, max_size=8)  # repeated links allowed
+        trips = data.draw(st.lists(st.tuples(route, st.integers(0, n_bins - 1)), max_size=40))
+        got = instantaneous_route_time([np.array(rows) for rows, _ in trips], costs, [k for _, k in trips])
+        expected = []
+        for rows, k in trips:
+            t = 0.0
+            for c in costs[rows, k].tolist():
+                t += c
+            expected.append(t)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 def experienced_route_time(path, fd_fn, k, horizon=None):
@@ -154,7 +185,7 @@ class TestExperiencedRouteTime:
         cost_array = np.array([[costs[lid]] for lid in path.link_ids])
         for k in (0.0, 5.0, 17.0):
             assert experienced_route_time(path, fd_fn, k) == pytest.approx(
-                instantaneous_route_time(np.arange(len(path.link_ids)), cost_array, 0)
+                instantaneous_route_time([np.arange(len(path.link_ids))], cost_array, [0])[0]
             )
 
     def test_cost_rise_after_arrival_increases_experienced(self):
@@ -168,7 +199,7 @@ class TestExperiencedRouteTime:
             return 10.0 if t >= 3.0 else 5.0
 
         experienced = experienced_route_time(path, fd_fn, 0.0)
-        instantaneous = instantaneous_route_time(np.array([0, 1]), np.array([[3.0], [5.0]]), 0)
+        instantaneous = instantaneous_route_time([np.array([0, 1])], np.array([[3.0], [5.0]]), [0])[0]
         assert experienced == pytest.approx(13.0)
         assert experienced > instantaneous
 
