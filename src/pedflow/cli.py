@@ -61,15 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "export-ts":
-            return _cmd_export_ts(args)
-        return EXIT_RUNTIME
+        return COMMANDS[args.command](args)
     except (SimulationInputError, NetworkFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -128,6 +120,8 @@ def _cmd_export_ts(args) -> int:
     print(flow_path)
     return EXIT_OK
 
+
+COMMANDS = {"validate": _cmd_validate, "scenario": _cmd_scenario, "run": _cmd_run, "export-ts": _cmd_export_ts}
 
 if __name__ == "__main__":
     raise SystemExit(main())

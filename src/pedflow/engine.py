@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -302,23 +302,31 @@ def _write_matrix(ts: TimeSpaceMatrix, values: np.ndarray, path, network: Networ
     write_table(path, header, (",".join([f"{l.from_node}-{l.to_node}", *row]) for l, row in zip(links, texts)))
 
 
-LINK_BLOCK = 4  # links formatted together; larger blocks write faster but raise the peak resident memory
 TRACE_BLOCK = 256  # node trace records formatted together, across steps; ~1024 is no faster
 
 
 def _write_link_table(result, path, header: str, columns: list[np.ndarray]) -> None:
     """One row per link and instant of the (link row, instant) arrays in columns,
-    formatted and written LINK_BLOCK links at a time, so the whole file is never held."""
+    formatted and written a link at a time, so the whole file is never held.  A
+    link whose every column holds one bit pattern at every instant is written
+    from a template made once per distinct tuple of values."""
     times = _fmt_rows(np.arange(columns[0].shape[1])[None] * result.grid.dt)[0]
+    bits = [np.ascontiguousarray(c, dtype=np.float64).view(np.int64) for c in columns]
+    constant = np.logical_and.reduce([(b == b[:, :1]).all(axis=1) for b in bits]).tolist()
+    templates: dict[tuple, list[str]] = {}  # a constant link's lines, each after its link id
 
-    def blocks():
-        for start in range(0, len(result.link_order), LINK_BLOCK):
-            ids = result.link_order[start:start + LINK_BLOCK]
-            texts = _fmt_rows(np.stack([c[start:start + len(ids)].reshape(-1) for c in columns]))
-            keys = chain.from_iterable(repeat(str(lid), len(times)) for lid in ids)
-            yield "\n".join(map(",".join, zip(keys, times * len(ids), *texts)))
+    def rows(row):
+        lid = str(result.link_order[row])
+        if not constant[row]:
+            texts = _fmt_rows(np.stack([c[row] for c in columns]))
+            return "\n".join(map(",".join, zip(repeat(lid), times, *texts)))
+        key = tuple(b[row, 0] for b in bits)
+        if key not in templates:
+            values = _fmt_rows(np.array([[c[row, 0] for c in columns]]))[0]
+            templates[key] = [",".join(["", t, *values]) for t in times]
+        return lid + ("\n" + lid).join(templates[key])
 
-    write_table(path, header, blocks())
+    write_table(path, header, map(rows, range(len(constant))))
 
 
 def _write_link_state(result, path) -> None:

@@ -14,8 +14,6 @@ incoming link; destinations absorb their own trips with unlimited supply.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import fd, ltm
@@ -28,7 +26,7 @@ EPS = 1e-12  # persons: a smaller sending window, queue or share of one moves no
 class LoadingResult:
     """Curves and bookkeeping from one loading run."""
 
-    def __init__(self, network, grid, destinations):
+    def __init__(self, network, grid, destinations, fd_variant: str = "logistic", fd_gamma: float | None = None):
         self.network = network
         self.grid = grid
         self.destinations = tuple(destinations)
@@ -47,8 +45,8 @@ class LoadingResult:
         self.unroutable = 0.0
         # (node position, t, in key, out key, S_ij, R_j, S_tilde_j, q_ij); keys are link rows or ORIGIN/SINK
         self.node_trace: list[tuple] = []
-        self.fd_variant = "logistic"
-        self.fd_gamma: float | None = None
+        self.fd_variant = fd_variant
+        self.fd_gamma = fd_gamma
         self._densities = None
 
     # -- views ---------------------------------------------------------------
@@ -141,14 +139,12 @@ def load_network(
     far, one FIFO split of every sending window, one fraction lookup for
     every (sender, destination) pair, and one transfer of all movements.
     Only nodes whose movements overfill a reserved supply go to `solve_node`,
-    stacked by shape.
+    one zero-padded stack per step.
     """
     destinations = demand.destinations()
     n_dest = len(destinations)
     d_index = {d: i for i, d in enumerate(destinations)}
-    result = LoadingResult(network, grid, destinations)
-    result.fd_variant = fd_variant
-    result.fd_gamma = fd_gamma
+    result = LoadingResult(network, grid, destinations, fd_variant, fd_gamma)
 
     n_bins = grid.n_bins
     dt = grid.dt
@@ -210,18 +206,10 @@ def load_network(
             _carry_forward((U, V, Ud, Vd), live, t)
             continue
 
-        step = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, arrays, effective_storage, result)
-        if node_trace:
-            shown = step.cell_demand > 0
-            snd, col, s_ij = step.cell_sender[shown], step.cell_col[shown], step.cell_demand[shown]
-            result.node_trace += zip(
-                snd_node[snd].tolist(), [t * dt] * len(snd), snd_key[snd].tolist(), step.cell_key[shown].tolist(),
-                s_ij.tolist(), step.supplies[col].tolist(), step.reserved[col].tolist(),
-                (step.theta[snd] * s_ij).tolist(),
-            )
-
+        theta = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, snd_key, arrays, effective_storage, node_trace,
+                          result)
         # commits, each accumulator in movement order
-        flow = step.theta[m_snd] * mass
+        flow = theta[m_snd] * mass
         positive = flow > 0
         m_snd, m_d, m_key, flow = m_snd[positive], m_d[positive], m_key[positive], flow[positive]
         to_sink, src_row = m_key == SINK, snd_key[m_snd]
@@ -278,27 +266,16 @@ def _senders(t, U, V, Ud, live, S, queues, origin_nodes, head):
     return node[order], key[order], queue[order], np.concatenate(persons)[order]
 
 
-class _NodeStep(NamedTuple):
-    """One step's node transfers.  A cell is one (sender, out key) pair, in
-    sender then out key order; columns are the (node, out key) pairs."""
+def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, snd_key, arrays, effective_storage, node_trace,
+              result) -> np.ndarray:
+    """Reduction factor of each sender for one step's movements (sender, out key, persons).
 
-    theta: np.ndarray  # reduction factor per sender
-    cell_sender: np.ndarray
-    cell_key: np.ndarray
-    cell_demand: np.ndarray
-    cell_col: np.ndarray
-    supplies: np.ndarray  # per column
-    reserved: np.ndarray  # per column
-
-
-def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, arrays, effective_storage, result) -> _NodeStep:
-    """Node transfers of one step's movements (sender, out key, persons).
-
-    A node's demand matrix has its senders as rows and its used out keys,
-    ascending with the sink last, as columns.  Nodes whose column loads fit
-    their available supply pass every movement whole; the rest go to
-    `solve_node`, one stack per shape of demand matrix.  Counts every
-    node's supply clamps into result.
+    A cell is one (sender, out key) pair, in sender then out key order, and a
+    column one (node, out key) pair.  A node's demand matrix has its senders
+    as rows and its used out keys, ascending with the sink last, as columns.
+    Nodes whose column loads fit their available supply pass every movement
+    whole; the rest go to `solve_node` as one zero-padded stack.  Counts every
+    node's supply clamps into result, and traces every cell if node_trace.
     """
     cell_of_move, first = _group(m_key, m_snd)
     cell_snd, cell_key = m_snd[first], m_key[first]
@@ -331,20 +308,25 @@ def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, arrays, effective_storag
     theta = np.ones(len(snd_node))
     if not fits.all():
         # a node's problem has its senders with cells as rows (numbered in cell order) and its columns as
-        # columns; the congested nodes of one shape are one stack, their problems in node order
+        # columns; the congested nodes are one stack in node order, zero-padded to the largest problem
         node_of_cell = np.repeat(np.arange(len(node_first)), n_cols)[cell_col]
         new_sender = np.append(True, cell_snd[1:] != cell_snd[:-1])
         n_rows = np.bincount(node_of_cell[new_sender], minlength=len(node_first))
         cell_row = np.cumsum(new_sender) - 1 - (np.cumsum(n_rows) - n_rows)[node_of_cell]
-        cell_c = cell_col - node_first[node_of_cell]
-        shape, first = _group(n_cols, n_rows, fits)  # the congested shapes first
-        cell_shape = shape[node_of_cell]
-        for s, i in enumerate(first[~fits[first]].tolist()):
-            nodes, cells = np.flatnonzero(shape == s), np.flatnonzero(cell_shape == s)
-            at = (np.searchsorted(nodes, node_of_cell[cells]), cell_row[cells])
-            demands = np.zeros((len(nodes), n_rows[i], n_cols[i]))
-            demands[at + (cell_c[cells],)] = cell_S[cells]
-            cols = node_first[nodes, None] + np.arange(n_cols[i])
-            problem = NodeFlowProblem(demands, supplies[cols], reserved[cols])
-            theta[cell_snd[cells]] = solve_node(problem).reductions[at]
-    return _NodeStep(theta, cell_snd, cell_key, cell_S, cell_col, supplies, reserved)
+        nodes, cells = np.flatnonzero(~fits), np.flatnonzero(~fits[node_of_cell])
+        at = (np.searchsorted(nodes, node_of_cell[cells]), cell_row[cells])
+        sizes = np.column_stack((n_rows[nodes], n_cols[nodes]))
+        demands = np.zeros((len(nodes), *sizes.max(axis=0)))
+        demands[at + (cell_col[cells] - node_first[node_of_cell[cells]],)] = cell_S[cells]
+        offsets = np.arange(demands.shape[2])
+        cols = np.where(offsets < sizes[:, 1:], node_first[nodes, None] + offsets, -1)  # -1: a padded column
+        problem = NodeFlowProblem(demands, np.append(supplies, np.inf)[cols], np.append(reserved, 0.0)[cols], sizes)
+        theta[cell_snd[cells]] = solve_node(problem).reductions[at]
+    if node_trace:
+        shown = cell_S > 0
+        snd, col, s_ij = cell_snd[shown], cell_col[shown], cell_S[shown]
+        result.node_trace += zip(
+            snd_node[snd].tolist(), [t * result.grid.dt] * len(snd), snd_key[snd].tolist(), cell_key[shown].tolist(),
+            s_ij.tolist(), supplies[col].tolist(), reserved[col].tolist(), (theta[snd] * s_ij).tolist(),
+        )
+    return theta

@@ -159,14 +159,11 @@ class Network:
             self.links[l.id] = l
         self.out_links: dict[int, list[int]] = {nid: [] for nid in self.nodes}
         self.in_links: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for l in self.links.values():
+        for _, l in sorted(self.links.items()):  # so each node's lists ascend by link id
             if l.from_node in self.out_links:
                 self.out_links[l.from_node].append(l.id)
             if l.to_node in self.in_links:
                 self.in_links[l.to_node].append(l.id)
-        for nid in self.nodes:
-            self.out_links[nid].sort()
-            self.in_links[nid].sort()
 
     def sorted_link_ids(self) -> list[int]:
         return sorted(self.links)

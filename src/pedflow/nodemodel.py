@@ -40,13 +40,16 @@ class NodeFlowProblem:
     demands[i, j] is what incoming link i would send toward outgoing link j
     this step (already turn-fraction weighted); supplies[j] is the receiving
     flow of outgoing link j; counterflow[j] is the portion of that supply
-    reserved for the opposing stream.  A stack of same-shaped problems puts
-    the problem axis first: demands (n, n_in, n_out), the others (n, n_out).
+    reserved for the opposing stream.  A stack puts the problem axis first:
+    demands (n, n_in, n_out), the others (n, n_out).  A ragged stack pads each
+    problem with zero demand, infinite supply and no reservation, and sizes
+    (n, 2) holds its own (n_in, n_out).
     """
 
     demands: np.ndarray
     supplies: np.ndarray
     counterflow: np.ndarray | None = None
+    sizes: np.ndarray | None = None
 
     def __post_init__(self):
         self.demands = np.asarray(self.demands, dtype=float)
@@ -89,11 +92,14 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     returned when their total is within 1e-9 (relative) of the simplex
     maximum, and otherwise the simplex's maximal-total vertex, unchanged.
     Negative reserved supply (reservation larger than the receiving flow)
-    clamps to zero and is reported in `clamped`.  The problems of a stack
-    are solved apart; the fair shares run in lockstep over them.
+    clamps to zero and is reported in `clamped`.  The problems of a stack,
+    ragged or not, are solved apart: padding does not change the fair shares,
+    which run in lockstep, and each choice between fair shares and simplex
+    sums the problem's own block, as the problem alone would.
     """
     *stack, n_in, n_out = problem.demands.shape
     S = problem.demands.reshape(math.prod(stack), n_in, n_out)  # one problem is a stack of one
+    sizes = [(n_in, n_out)] * len(S) if problem.sizes is None else problem.sizes.reshape(-1, 2).tolist()
     available, clamped = available_supply(problem.supplies.reshape(-1, n_out), problem.counterflow.reshape(-1, n_out))
     clamped = tuple(np.flatnonzero(clamped).tolist())
 
@@ -107,9 +113,10 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     bound = _max_total_bound(S[congested], available[congested])
     short = flows[congested].sum(axis=(1, 2)) < bound - 0.5e-9 * np.maximum(1.0, bound)
     for p in congested[short].tolist():
-        q_max, theta_max = _max_total_vertex(S[p], available[p])
-        if flows[p].sum() < q_max.sum() - 1e-9 * max(1.0, q_max.sum()):
-            flows[p], reductions[p] = q_max, theta_max
+        r, c = sizes[p]
+        q_max, theta_max = _max_total_vertex(S[p, :r, :c], available[p, :c])
+        if flows[p, :r, :c].copy().sum() < q_max.sum() - 1e-9 * max(1.0, q_max.sum()):  # summed as if alone
+            flows[p, :r, :c], reductions[p, :r] = q_max, theta_max
     return NodeFlowSolution(flows.reshape(problem.demands.shape), reductions.reshape(*stack, n_in), clamped)
 
 
@@ -158,16 +165,32 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
 
 
 def _max_total_bound(S: np.ndarray, available: np.ndarray) -> np.ndarray:
-    """An upper bound on the maximal total transfer of each problem of a stack: the
-    least, over the outgoing links j of finite supply, of available_j / (the smallest
-    movement fraction to j) plus the demands of the in-links not using j, and the
-    summed demands."""
-    row_tot = S.sum(axis=2)
-    uses = S > 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows without demand, links no row uses, sinks
-        min_phi = np.where(uses, S / row_tot[:, :, None], np.inf).min(axis=1)
-        through = np.where(uses, 0.0, row_tot[:, :, None]).sum(axis=1) + available / min_phi
-    return np.minimum(np.where(np.isfinite(available), through, np.inf).min(axis=1), row_tot.sum(axis=1))
+    """An upper bound on the maximal total transfer of each problem of a stack, by LP duality.
+
+    With demands d_i, movement fractions phi_ij and available supplies a_j,
+    any prices w >= 0 on the outgoing links of finite supply bound the total
+    by sum_j a_j w_j + sum_i d_i max(0, 1 - sum_j phi_ij w_j).  This takes
+    the least over w = 0, one link j priced at 1 / phi_ij, and two links
+    priced to pay two in-links exactly: the maximum itself wherever at most
+    two outgoing links have finite supply, as the dual optimum is among these.
+    """
+    n, n_in, n_out = S.shape
+    d, finite = S.sum(axis=2), np.isfinite(available)
+    (i, k), (j, l) = (np.nonzero(np.arange(m)[:, None] < np.arange(m)) for m in (n_in, n_out))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without demand, unused links, parallel pairs
+        phi = np.where(d[:, :, None] > 0, S / d[:, :, None], 0.0)
+        one = np.where(np.eye(n_out, dtype=bool), 1.0 / phi[:, :, :, None], 0.0).reshape(n, n_in * n_out, n_out)
+        # in-links i < k and out-links j < l: [[a, b], [c, e]] (w_j, w_l) = (1, 1)
+        a, b, c, e = np.moveaxis(phi[:, np.array((i, i, k, k))[:, :, None], np.array((j, l, j, l))[:, None]], 1, 0)
+        two = np.zeros((n, len(i), len(j), n_out))
+        two[:, :, range(len(j)), j] = (e - b) / (a * e - b * c)
+        two[:, :, range(len(j)), l] = (a - c) / (a * e - b * c)
+        w = np.concatenate((one, two.reshape(n, len(i) * len(j), n_out)), axis=1)
+        # any finite w >= 0 that prices no sink bounds the total, so the rest are zeroed, not dropped
+        w = np.where(np.isfinite(w) & finite[:, None], np.maximum(w, 0.0), 0.0)
+    unpaid = np.maximum(0.0, 1.0 - (phi[:, None] * w[:, :, None]).sum(axis=3))
+    total = (np.where(finite, available, 0.0)[:, None] * w).sum(axis=2) + (d[:, None] * unpaid).sum(axis=2)
+    return np.minimum(total.min(axis=1), d.sum(axis=1))
 
 
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):

@@ -159,11 +159,8 @@ def generate_corridor_scenario(segments: int = 9, preset: int = 4, bottleneck_wi
     demand = DemandProfile()
     major = trapezoid_profile(1.0, 4.0, 4.0, 80.0, 83.0)
     sample_demand(demand, 1, last, major, 1.0, horizon)
-    if preset == 5:
-        minor = trapezoid_profile(1.0, 4.0, 2.0, 50.0, 53.0)
-        sample_demand(demand, last, 1, minor, 1.0, horizon)
-    elif preset == 6:
-        minor = trapezoid_profile(1.0, 4.0, 4.0, 50.0, 53.0)
+    if preset in (5, 6):  # unbalanced (a 2 ped/s plateau) or balanced
+        minor = trapezoid_profile(1.0, 4.0, 2.0 if preset == 5 else 4.0, 50.0, 53.0)
         sample_demand(demand, last, 1, minor, 1.0, horizon)
     cfg = ScenarioConfig(dt=1.0, horizon=horizon, pvdf=PRESET_PVDF)
     return network, demand, cfg

@@ -262,10 +262,10 @@ class TestBidirectionalCorridor:
 
 
 @st.composite
-def paired_networks(draw, max_rate=8.0, widths=(DEFAULT_WIDTH,)):
+def paired_networks(draw, max_rate=8.0, widths=(DEFAULT_WIDTH,), max_ods=3):
     """A 2x2 to 4x4 grid or a 2- to 6-segment corridor with a bottleneck, all
-    links paired, with 1-3 OD pairs, each with random rates over a few
-    departure bins."""
+    links paired, with 1 to max_ods OD pairs, each with random rates over a
+    few departure bins."""
     width = draw(st.sampled_from(widths))
     corridor = draw(st.booleans())
     if corridor:
@@ -277,7 +277,7 @@ def paired_networks(draw, max_rate=8.0, widths=(DEFAULT_WIDTH,)):
         n_nodes = n * n
     nodes = st.integers(1, n_nodes)
     ods = draw(st.lists(st.tuples(nodes, nodes).filter(lambda od: od[0] != od[1]),
-                        min_size=1, max_size=3, unique=True))
+                        min_size=1, max_size=max_ods, unique=True))
     demand = DemandProfile()
     for origin, dest in ods:
         for k in range(draw(st.integers(1, 6))):
@@ -364,9 +364,12 @@ class TestLoaderInvariants:
 
 @st.composite
 def congested_assignments(draw):
-    """Paired networks with narrow links and rates up to 20 ped/s, so nodes
-    congest and reservations clamp, under either storage rule and FD variant."""
-    net, demand = draw(paired_networks(max_rate=20.0, widths=(0.5, 1.0, 2.0)))
+    """Paired networks with narrow links, rates up to 20 ped/s and up to 6 OD
+    pairs, so nodes congest and reservations clamp, under either storage rule
+    and FD variant.  With 6 pairs, some steps congest nodes of 8 or more
+    (sender, out key) cells beside smaller ones, which the loader pads into
+    one stack."""
+    net, demand = draw(paired_networks(max_rate=20.0, widths=(0.5, 1.0, 2.0), max_ods=6))
     variant, gamma = draw(st.sampled_from((("logistic", None), ("power", 0.5), ("power", 2.0))))
     cfg = ScenarioConfig(dt=1.0, horizon=25.0, max_iters=2, fd_variant=variant, fd_gamma=gamma,
                          effective_storage=draw(st.booleans()), node_trace=True,

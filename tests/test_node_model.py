@@ -24,7 +24,9 @@ from pedflow.scenarios import make_corridor_network, make_grid_network
 def brute_force_max_total(S, available):
     """Independent oracle: enumerate every vertex of the reduction-factor
     polytope {0 <= theta <= 1, sum_i theta_i S_ij <= available_j} and return
-    the maximal total transfer."""
+    the maximal total transfer.  A vertex feasible within 1e-9 is clipped to
+    [0, 1] and each in-link scaled under the supplies it overfills before its
+    total counts, so the result never exceeds the maximum beyond rounding."""
     n_in, n_out = S.shape
     act = [i for i in range(n_in) if S[i].sum() > 0]
     n = len(act)
@@ -53,6 +55,11 @@ def brute_force_max_total(S, available):
         except np.linalg.LinAlgError:
             continue
         if (rows @ theta <= rhs + 1e-9).all():
+            # each in-link scaled down to its tightest overfilled supply: a point of the polytope
+            theta = np.clip(theta, 0.0, 1.0)
+            load = S[act].T @ theta
+            over = load > available
+            theta *= np.where(S[act][:, over] > 0, available[over] / load[over], 1.0).min(axis=1, initial=1.0)
             best = max(best, float(row_tot @ theta))
     return best
 
@@ -205,6 +212,23 @@ def node_problems(draw, shape=None):
     return NodeFlowProblem(S, supplies, reserved)
 
 
+class TestScreenBound:
+    @settings(max_examples=500, deadline=None)
+    @given(node_problems())
+    def test_dual_bound_caps_the_maximum_and_meets_it_on_two_finite_columns(self, problem):
+        """_max_total_bound never undercuts the maximal total transfer (within
+        1e-12 of max(1, that total)), and it is that total within 1e-9 wherever
+        at most two columns have finite supply: LP duality with the prices it
+        tries.  The oracle never overshoots the maximum, as it scales
+        near-feasible vertices into the polytope."""
+        available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
+        bound = nodemodel._max_total_bound(problem.demands[None], available[None])[0]
+        best = brute_force_max_total(problem.demands, np.minimum(available, 1e6))  # sinks never bind
+        assert bound >= best - 1e-12 * max(1.0, best)
+        if np.isfinite(available).sum() <= 2:
+            assert bound <= best + 1e-9 * max(1.0, best)
+
+
 class TestSolverParity:
     @settings(max_examples=500, deadline=None)
     @given(node_problems())
@@ -224,6 +248,34 @@ def node_stacks(draw):
     `node_problems` draws one."""
     shape = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     return draw(st.lists(node_problems(shape), min_size=1, max_size=6))
+
+
+@st.composite
+def ragged_stacks(draw):
+    """1-6 node problems of mixed shapes up to 4 by 4, stacked as the loader
+    stacks a step's congested nodes: zero-padded to the largest shape, with
+    infinite supply and no reservation in padded columns, and each problem's
+    own shape in sizes.  Returns (problems, stack).
+
+    A problem is drawn as `node_problems` draws one, or as
+    `decision_edge_problems` draws one from a base of up to 2 by 2 (so 3 by
+    3 to 4 by 4), bisected to float resolution onto the 1e-9 at which
+    solve_node switches from the fair shares to the simplex.  There a fair
+    total summed in another order than the problem's own may land on the
+    other side.
+    """
+    base = st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(node_problems)
+    problem = st.one_of(node_problems(), decision_edge_problems(base, target=1e-9, steps=64))
+    # C order, as the loader builds them: the reference solver sums its flows in memory order
+    problems = [NodeFlowProblem(np.ascontiguousarray(p.demands), p.supplies, p.counterflow)
+                for p in draw(st.lists(problem, min_size=1, max_size=6))]
+    sizes = np.array([p.demands.shape for p in problems])
+    n_in, n_out = sizes.max(axis=0)
+    demands = np.zeros((len(problems), n_in, n_out))
+    supplies, counterflow = np.full((len(problems), n_out), np.inf), np.zeros((len(problems), n_out))
+    for p, (problem, (r, c)) in enumerate(zip(problems, sizes)):
+        demands[p, :r, :c], supplies[p, :c], counterflow[p, :c] = problem.demands, problem.supplies, problem.counterflow
+    return problems, NodeFlowProblem(demands, supplies, counterflow, sizes)
 
 
 class TestStackParity:
@@ -246,9 +298,29 @@ class TestStackParity:
             clamped += [p * n_out + j for j in want.clamped]
         assert got.clamped == tuple(clamped)
 
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_stacks())
+    def test_each_problem_of_a_ragged_stack_solves_as_alone(self, case):
+        """solve_node on a zero-padded stack of mixed shapes returns, for every
+        problem, the reference solver's flows and reductions on that problem
+        alone in its own block, bit for bit, and zero flow and no reduction in
+        the padding; clamped holds flat indices into the padded supplies."""
+        problems, stack = case
+        got = solve_node(stack)
+        n_out = stack.supplies.shape[1]
+        clamped = []
+        for p, (problem, (r, c)) in enumerate(zip(problems, stack.sizes.tolist())):
+            want = reference_nodemodel.reference_solve_node(problem)
+            assert got.flows[p, :r, :c].tobytes() == want.flows.tobytes()
+            assert got.reductions[p, :r].tobytes() == want.reductions.tobytes()
+            assert not got.flows[p, r:].any() and not got.flows[p, :, c:].any()
+            assert (got.reductions[p, r:] == 1.0).all()
+            clamped += [p * n_out + j for j in want.clamped]
+        assert got.clamped == tuple(clamped)
+
 
 @st.composite
-def decision_edge_problems(draw):
+def decision_edge_problems(draw, base=None, target=None, steps=40):
     """Node problems whose fair total falls short of the maximal total by
     about 0-2e-9 (relative), around the 1e-9 at which solve_node picks one.
 
@@ -261,8 +333,11 @@ def decision_edge_problems(draw):
     (where all demand fits and the totals agree) by bisection on the
     shortfall, to a drawn target; the shortfall may jump where the fair
     shares change their pinning order, so some draws end off the target.
+    base draws the problem that gets the two links (`node_problems()` by
+    default), target fixes the shortfall, and steps sets the bisection's
+    resolution.
     """
-    problem = draw(node_problems())
+    problem = draw(node_problems() if base is None else base)
     available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
     n_in, n_out = problem.demands.shape
     cap = draw(st.floats(0.1, 5.0))
@@ -282,8 +357,8 @@ def decision_edge_problems(draw):
         best = reference_nodemodel.reference_max_total_vertex(S, supplies(s))[0].sum()
         return (best - fair) / max(1.0, best)
 
-    target, lo, hi = draw(st.floats(0.0, 2e-9)), 0.0, 1.0
-    for _ in range(40):
+    target, lo, hi = draw(st.floats(0.0, 2e-9)) if target is None else target, 0.0, 1.0
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if shortfall(mid) > target else (mid, hi)
     return NodeFlowProblem(S, supplies(draw(st.sampled_from([lo, hi]))))
