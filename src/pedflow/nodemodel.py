@@ -88,9 +88,9 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     Flows scale each incoming link's oriented demands by a single factor
     (proportional movements), never exceed demand, and leave every outgoing
     link's reserved supply intact.  Demands that all fit pass whole.  If not,
-    the max-min fair shares (equal priority, unused shares redistributed) are
-    returned when their total is within 1e-9 (relative) of the simplex
-    maximum, and otherwise the simplex's maximal-total vertex, unchanged.
+    the equal-priority shares (unused shares redistributed) are returned when
+    their total is within 1e-9 (relative) of the simplex maximum, and
+    otherwise the simplex's maximal-total vertex, unchanged.
     Negative reserved supply (reservation larger than the receiving flow)
     clamps to zero and is reported in `clamped`.  The problems of a stack,
     ragged or not, are solved apart: padding does not change the fair shares,
@@ -109,8 +109,9 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     flows, reductions = S.copy(), np.ones((len(S), n_in))
     flows[congested], reductions[congested] = _equal_priority_shares(S[congested], available[congested])
     # the simplex runs only where its maximum may beat the fair total by the 1e-9: the
-    # bound caps the maximum, and half of the 1e-9 is kept as margin
-    bound = _max_total_bound(S[congested], available[congested])
+    # bound, priced by the out-links the fair shares fill, caps the maximum, and half
+    # of the 1e-9 is kept as margin
+    bound = _filled_bound(S[congested], available[congested], flows[congested])
     short = flows[congested].sum(axis=(1, 2)) < bound - 0.5e-9 * np.maximum(1.0, bound)
     for p in congested[short].tolist():
         r, c = sizes[p]
@@ -139,8 +140,10 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     Every pass pins down at least one incoming link of each unfinished
     problem: either links whose whole demand fits their current shares, or
     the most constrained link at its bottleneck share.  Freed shares then
-    flow back to the remaining competitors, so the result is the max-min
-    fair transfer pattern.
+    flow back to the remaining competitors.  A link pinned at its share is
+    not raised again when a competitor bound elsewhere frees supply later,
+    so the pattern is not max-min fair: it can cut a link below what the
+    supply it uses leaves room for.
     """
     uses = S > 0
     theta = np.ones(S.shape[:2])
@@ -164,33 +167,21 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     return np.where(started[:, :, None], theta[:, :, None] * S, 0.0), theta
 
 
-def _max_total_bound(S: np.ndarray, available: np.ndarray) -> np.ndarray:
+def _filled_bound(S: np.ndarray, available: np.ndarray, flows: np.ndarray) -> np.ndarray:
     """An upper bound on the maximal total transfer of each problem of a stack, by LP duality.
 
-    With demands d_i, movement fractions phi_ij and available supplies a_j,
-    any prices w >= 0 on the outgoing links of finite supply bound the total
-    by sum_j a_j w_j + sum_i d_i max(0, 1 - sum_j phi_ij w_j).  This takes
-    the least over w = 0, one link j priced at 1 / phi_ij, and two links
-    priced to pay two in-links exactly: the maximum itself wherever at most
-    two outgoing links have finite supply, as the dual optimum is among these.
+    With demands d_i and available supplies a_j, any prices w >= 0 on the
+    outgoing links of finite supply bound the total by sum_j a_j w_j +
+    sum_i max(0, d_i - sum_j S_ij w_j).  This prices at 1 each finite
+    outgoing link that the flows fill (within 1e-12 of max(1, a_j)): by
+    complementary slackness, the flows' own total wherever every in-link
+    they reduce sends only into filled links of finite supply.
     """
-    n, n_in, n_out = S.shape
-    d, finite = S.sum(axis=2), np.isfinite(available)
-    (i, k), (j, l) = (np.nonzero(np.arange(m)[:, None] < np.arange(m)) for m in (n_in, n_out))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows without demand, unused links, parallel pairs
-        phi = np.where(d[:, :, None] > 0, S / d[:, :, None], 0.0)
-        one = np.where(np.eye(n_out, dtype=bool), 1.0 / phi[:, :, :, None], 0.0).reshape(n, n_in * n_out, n_out)
-        # in-links i < k and out-links j < l: [[a, b], [c, e]] (w_j, w_l) = (1, 1)
-        a, b, c, e = np.moveaxis(phi[:, np.array((i, i, k, k))[:, :, None], np.array((j, l, j, l))[:, None]], 1, 0)
-        two = np.zeros((n, len(i), len(j), n_out))
-        two[:, :, range(len(j)), j] = (e - b) / (a * e - b * c)
-        two[:, :, range(len(j)), l] = (a - c) / (a * e - b * c)
-        w = np.concatenate((one, two.reshape(n, len(i) * len(j), n_out)), axis=1)
-        # any finite w >= 0 that prices no sink bounds the total, so the rest are zeroed, not dropped
-        w = np.where(np.isfinite(w) & finite[:, None], np.maximum(w, 0.0), 0.0)
-    unpaid = np.maximum(0.0, 1.0 - (phi[:, None] * w[:, :, None]).sum(axis=3))
-    total = (np.where(finite, available, 0.0)[:, None] * w).sum(axis=2) + (d[:, None] * unpaid).sum(axis=2)
-    return np.minimum(total.min(axis=1), d.sum(axis=1))
+    finite = np.isfinite(available)
+    a = np.where(finite, available, 0.0)
+    w = finite & (flows.sum(axis=1) >= a - 1e-12 * np.maximum(1.0, a))
+    unpaid = np.maximum(0.0, S.sum(axis=2) - (S * w[:, None]).sum(axis=2))
+    return (a * w).sum(axis=1) + unpaid.sum(axis=1)
 
 
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):
