@@ -32,11 +32,17 @@ def free_flow_costs(network: Network, grid: TimeGrid, penalties=()) -> np.ndarra
 
 
 def costs_from_loading(network, grid, result, params, penalties=()) -> np.ndarray:
-    """Link costs from a loading's measured directional inflows, shaped like free_flow_costs."""
+    """Link costs from a loading's measured directional inflows, shaped like free_flow_costs; the kernel
+    runs only on links that were entered or whose twin was, the others hold their zero-flow cost."""
     arrays = network.arrays
-    u = result.inflow_rates()
-    u_opp = np.where((arrays.twin >= 0)[:, None], u[arrays.twin], 0.0)
-    costs = pvdf.link_cost_profile(arrays.free_flow, arrays.capacity, params, u, u_opp)
+    entered = result.U[:, -1] > 0
+    rows = np.flatnonzero(entered | ((arrays.twin >= 0) & entered[arrays.twin]))
+    twin = arrays.twin[rows]
+    u = np.diff(result.U[np.append(rows, twin)], axis=1) / grid.dt
+    u, u_opp = u[: len(rows)], np.where((twin >= 0)[:, None], u[len(rows):], 0.0)
+    zero = np.zeros((len(arrays.order), 1))
+    costs = pvdf.link_cost_profile(arrays.free_flow, arrays.capacity, params, zero, zero).repeat(grid.n_bins, axis=1)
+    costs[rows] = pvdf.link_cost_profile(arrays.free_flow[rows], arrays.capacity[rows], params, u, u_opp)
     _apply_penalties(costs, network, grid, penalties)
     return costs
 
@@ -82,12 +88,10 @@ class AssignmentState:
         self.grid = grid
         rates: dict[tuple[int, int], dict[int, float]] = {}
         for e in demand.entries:
-            if e.rate <= 0:
-                continue
-            od = (e.origin, e.destination)
-            k = grid.bin_of(e.depart_s)
-            rates.setdefault(od, {})
-            rates[od][k] = rates[od].get(k, 0.0) + e.rate
+            if e.rate > 0:
+                by_bin = rates.setdefault((e.origin, e.destination), {})
+                k = grid.bin_of(e.depart_s)
+                by_bin[k] = by_bin.get(k, 0.0) + e.rate
         self.ods = sorted(rates)
         self.k_bins = {od: sorted(rates[od]) for od in self.ods}
         self.rates = {od: np.array([rates[od][k] for k in self.k_bins[od]]) for od in self.ods}

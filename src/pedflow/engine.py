@@ -195,7 +195,7 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
         return []
 
     cell = ts.cell_length()
-    tracks: list[dict] = []
+    tracks: list[list[tuple[float, float]]] = []  # chains of (t, x) interface points
     for b in range(mask.shape[1]):
         idxs = np.where(mask[:, b])[0]
         if idxs.size == 0:
@@ -205,24 +205,17 @@ def detect_shockwaves(ts: TimeSpaceMatrix, min_jump: float | None = None,
         points = [float((ts.x_edges[cluster + 1] * jump[cluster, b]).sum() / jump[cluster, b].sum())
                   for cluster in np.split(idxs, splits)]
         t = ts.t_offset + b * ts.dt
-        open_tracks = [tr for tr in tracks if t - tr["times"][-1] <= 2.0 * ts.dt + 1e-9]
-        for x in points:
-            best, best_d = None, 1.6 * cell
-            for tr in open_tracks:
-                if tr["times"][-1] >= t:
-                    continue  # already extended this column
-                d = abs(tr["xs"][-1] - x)
-                if d < best_d:
-                    best, best_d = tr, d
-            if best is None:
-                tracks.append({"times": [t], "xs": [x]})
+        open_tracks = [tr for tr in tracks if t - tr[-1][0] <= 2.0 * ts.dt + 1e-9]
+        for x in points:  # onto the nearest open track not extended in this column yet, if within 1.6 cells
+            best = min((tr for tr in open_tracks if tr[-1][0] < t), key=lambda tr: abs(tr[-1][1] - x), default=None)
+            if best is not None and abs(best[-1][1] - x) < 1.6 * cell:
+                best.append((t, x))
             else:
-                best["times"].append(t)
-                best["xs"].append(x)
+                tracks.append([(t, x)])
 
     fronts = []
     for tr in tracks:
-        times, xs = np.array(tr["times"]), np.array(tr["xs"])
+        times, xs = np.array(tr).T
         if len(times) < min_points:
             continue
         t_mean, x_mean = times.mean(), xs.mean()

@@ -1,15 +1,17 @@
 """Dynamic network loading: multi-destination link transmission over time.
 
 One loading run walks the clock forward once.  Per step it evaluates, on
-the links entered so far, the counterflow-degraded speed from current
+the links that hold anyone, the counterflow-degraded speed from current
 occupancies and the sending bounds from the cumulative curves; splits every
 sending window by destination in entry order and turns each share by the
 turning fractions; evaluates the receiving bounds and counterflow
 reservations of the outgoing links those movements use; passes whole every
 node whose movements fit its reserved supply and solves a transfer problem at
-the others; and commits the resulting boundary counts.  Origins hold released
-demand in vertical (point) queues that compete for downstream supply like any
-incoming link; destinations absorb their own trips with unlimited supply.
+the others; and commits the resulting boundary counts.  A step where no link
+and no origin queue holds anyone copies the counts forward, or after the last
+release fills the rest of the horizon.  Origins hold released demand in
+vertical (point) queues that compete for downstream supply like any incoming
+link; destinations absorb their own trips with unlimited supply.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .nodemodel import (ORIGIN, SINK, NodeFlowProblem, TurningFractions, _group,
                         supply_fits)
 
 EPS = 1e-12  # persons: a smaller sending window, queue or share of one moves nobody
+ROUNDING = 1.0 + 4 * np.finfo(float).eps  # x * ROUNDING > any interpolation of samples up to x, rounded
 
 
 class LoadingResult:
@@ -50,10 +53,6 @@ class LoadingResult:
         self._densities = None
 
     # -- views ---------------------------------------------------------------
-
-    def inflow_rates(self) -> np.ndarray:
-        """Link inflow in ped/s per (link, bin)."""
-        return np.diff(self.U, axis=1) / self.grid.dt
 
     def in_network(self) -> np.ndarray:
         """Pedestrians still on links at the end of the horizon, per destination."""
@@ -135,11 +134,12 @@ def load_network(
 ) -> LoadingResult:
     """Propagate the demand through the network under the given turning fractions.
 
-    Each step is one array pass: the link kernels on the links entered so
-    far, one FIFO split of every sending window, one fraction lookup for
-    every (sender, destination) pair, and one transfer of all movements.
-    Only nodes whose movements overfill a reserved supply go to `solve_node`,
-    one zero-padded stack per step.
+    Each step is one array pass: the link kernels on the links that hold
+    anyone (no other link can send), one FIFO split of every sending window,
+    one fraction lookup for every (sender, destination) pair, and one
+    transfer of all movements.  Only nodes whose movements overfill a
+    reserved supply go to `solve_node`, one zero-padded stack per step.  A
+    quiet step, with nobody on a link or queued, runs none of this.
     """
     destinations = demand.destinations()
     n_dest = len(destinations)
@@ -175,24 +175,35 @@ def load_network(
     live = np.flatnonzero(entered)
     slot = np.zeros(n_links, dtype=np.intp)  # position of each live row in `live`
     k = np.zeros(n_links)  # densities at the start of the step, zero off the live rows
+    cursor = np.zeros(n_links, dtype=np.intp)  # per row, the FIFO search's sample below its last r0
+    last_release = max((b for b in schedule if b < n_bins), default=-1)
 
     for t in range(n_bins):
         for origin, d, amount in schedule.get(t, ()):
             queues[queue_row[origin], d] += amount
 
+        # A sending bound reads U at or before t, so only `rows` may send.  With none and no queue, nobody
+        # moves, and after the last release nobody ever will.
+        rows = live[U[live, t] * ROUNDING - V[live, t] > EPS]
+        queued = np.flatnonzero(queues.sum(axis=1) > EPS)
+        if not rows.size and not queued.size:
+            end = n_bins if t >= last_release else t + 1
+            for curve in (U, V, Ud, Vd):  # every live row keeps its counts, as x + 0.0 == x on them
+                curve[live, ..., t + 1 : end + 1] = curve[live, ..., t, None]
+            if end == n_bins:
+                break
+            continue
         k[live] = (U[live, t] - V[live, t]) / arrays.area[live]
-        rho = fd.density_ratio_profile(k, twin, live)
+        rho = fd.density_ratio_profile(k, twin, rows)
         with np.errstate(invalid="ignore", divide="ignore"):
-            vhat = fd.effective_speed_profile(VF[live], rho, fd_variant, fd_gamma)
-            S = ltm.sending_flows_at(U, V, t, dt, L[live], np.maximum(vhat, 1e-15), CAP[live], live)
+            vhat = fd.effective_speed_profile(VF[rows], rho, fd_variant, fd_gamma)
+            S = ltm.sending_flows_at(U, V, t, dt, L[rows], np.maximum(vhat, 1e-15), CAP[rows], rows)
         S[vhat <= 0] = 0.0
-        snd_node, snd_key, snd_queue, persons = _senders(t, U, V, Ud, live, S, queues, origin_nodes, arrays.head)
+        snd_node, snd_key, snd_queue, persons = _senders(t, U, V, Ud, rows, S, queues, queued, origin_nodes,
+                                                         arrays.head, cursor)
 
         # movements (sender, destination, out key, persons), by sender, destination, out key
         m_snd, m_d = np.nonzero(persons > EPS)
-        if not m_snd.size:
-            _carry_forward((U, V, Ud, Vd), live, t)
-            continue
         p = persons[m_snd, m_d]
         query, m_key, frac = fractions.fractions(dest_nodes[m_d], snd_node[m_snd], snd_key[m_snd], t)
         stuck = np.ones(len(p), dtype=bool)
@@ -202,12 +213,9 @@ def load_network(
         moved = frac > 0
         query, m_key = query[moved], m_key[moved]
         m_snd, m_d, mass = m_snd[query], m_d[query], p[query] * frac[moved]
-        if not mass.size:
-            _carry_forward((U, V, Ud, Vd), live, t)
-            continue
 
         theta = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, snd_key, arrays, effective_storage, node_trace,
-                          result)
+                          result) if mass.size else np.ones(len(snd_node))  # no movement: no node to solve
         # commits, each accumulator in movement order
         flow = theta[m_snd] * mass
         positive = flow > 0
@@ -238,31 +246,23 @@ def load_network(
     return result
 
 
-def _carry_forward(curves, live, t) -> None:
-    """A step without transfers: every live row keeps its counts (x + 0.0 == x
-    on these nonnegative sums)."""
-    for curve in curves:
-        curve[live, ..., t + 1] = curve[live, ..., t]
-
-
-def _senders(t, U, V, Ud, live, S, queues, origin_nodes, head):
+def _senders(t, U, V, Ud, rows, S, queues, queued, origin_nodes, head, cursor):
     """The step's senders by node ascending: each node's sending in-links in
     row order, then its origin queue if it holds anyone.
 
-    Returns per sender its node position, its key (the link row, or ORIGIN),
-    its queue row (-1 for a link) and its persons per destination: the FIFO
-    split of the link's sending window, or the whole queue.
+    S holds the sending bounds of the link rows `rows` (ascending), queued
+    the queue rows that hold anyone.  Returns per sender its node position,
+    its key (the link row, or ORIGIN), its queue row (-1 for a link) and its
+    persons per destination: the FIFO split of the link's sending window
+    (searched from `cursor`), or the whole queue.
     """
     sending = S > EPS
-    link_rows, queued = live[sending], np.flatnonzero(queues.sum(axis=1) > EPS)
-    persons = [queues[queued]]
-    if link_rows.size:
-        r0 = V[link_rows, t]
-        persons.insert(0, ltm.split_by_entry_order(U, Ud, r0, r0 + S[sending], t, link_rows))
+    link_rows, r0 = rows[sending], V[rows[sending], t]
+    persons = [ltm.split_by_entry_order(U, Ud, r0, r0 + S[sending], t, link_rows, cursor), queues[queued]]
     node = np.concatenate((head[link_rows], origin_nodes[queued]))
     key = np.concatenate((link_rows, np.full(len(queued), ORIGIN)))
     queue = np.concatenate((np.full(len(link_rows), -1), queued))
-    order = np.lexsort((queue, node))  # stable: links in live's ascending row order, the queue last
+    order = np.lexsort((queue, node))  # stable: links in ascending row order, the queue last
     return node[order], key[order], queue[order], np.concatenate(persons)[order]
 
 

@@ -67,13 +67,12 @@ def counterflow_at(U, t, dt, twin, lengths, v_f, rows=None):
         links = rows[paired]
         opposite = twin[links]
         shift = lengths[links] / v_f[opposite]
-        hi = interp_at(U, (t + 1) * dt - shift, dt, rows=opposite)
-        lo = interp_at(U, t * dt - shift, dt, rows=opposite)
-        out[paired] = np.maximum(hi - lo, 0.0)
+        ends = interp_at(U, np.concatenate(((t + 1) * dt - shift, t * dt - shift)), dt, np.concatenate((opposite,) * 2))
+        out[paired] = np.maximum(ends[: paired.size] - ends[paired.size:], 0.0)
     return out
 
 
-def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=None) -> np.ndarray:
+def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=None, cursor=None) -> np.ndarray:
     """Destination composition of the pedestrians ranked (r0[i], r1[i]] on link rows[i].
 
     U holds the links' upstream curves (n, n_bins + 1) and Ud their
@@ -82,23 +81,32 @@ def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=Non
     upstream cumulative curve; the split follows entry order, which is what
     keeps exits first-in-first-out.  Returns (windows, n_dest) counts, each
     row scaled to sum exactly to r1 - r0, or zeros where the window or the
-    composition found in it is empty.
+    composition found in it is empty.  `cursor` (one entry per row of U)
+    may hold each row's sample below an earlier r0 no greater than its r0
+    now: the one search for both window ends then starts at the least of
+    them, and moves the entries of `rows` to their r0.
     """
     r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
+    rows = np.arange(U.shape[0]) if rows is None else np.asarray(rows)
+    start = int(cursor[rows].min()) if cursor is not None and rows.size else 0
+    counts, b = _counts_up_to_rank(U, Ud, np.concatenate((r1, r0)), t, np.concatenate((rows, rows)), start)
+    if cursor is not None:
+        cursor[rows] = b[len(rows):]
     amount = r1 - r0
-    split = np.clip(_counts_up_to_rank(U, Ud, r1, t, rows) - _counts_up_to_rank(U, Ud, r0, t, rows), 0.0, None)
+    split = np.clip(counts[: len(rows)] - counts[len(rows):], 0.0, None)
     total = split.sum(axis=1)
     ok = (amount > 0) & (total > 0)
     scale = amount / np.where(ok, total, 1.0)
     return np.where(ok[:, None], split * scale[:, None], 0.0)
 
 
-def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank, t: int, rows=None) -> np.ndarray:
-    """Per-destination entries among the first rank[i] entrants of row rows[i] (interpolated)."""
-    rows = np.arange(U.shape[0]) if rows is None else np.asarray(rows)
-    b, frac = _rank_positions(U[rows, : t + 1], np.asarray(rank, dtype=float))
+def _counts_up_to_rank(U: np.ndarray, Ud: np.ndarray, rank, t: int, rows, start: int = 0):
+    """Per-destination entries among the first rank[i] entrants of row rows[i] (interpolated), and the
+    sample below each rank, searched from sample `start`, which is at most any of those."""
+    b, frac = _rank_positions(U[rows, start : t + 1], np.asarray(rank, dtype=float))
+    b += start
     frac = frac[:, None]
-    return Ud[rows, :, b] * (1.0 - frac) + Ud[rows, :, b + 1] * frac
+    return Ud[rows, :, b] * (1.0 - frac) + Ud[rows, :, b + 1] * frac, b
 
 
 def crossing_times(curves: np.ndarray, rank: np.ndarray, dt: float, n_valid: int) -> np.ndarray:

@@ -258,14 +258,15 @@ class TurningFractions:
     one entry per contribution of route flow, in the order they are summed
     (`paths_to_turning_fractions` builds them); dest and node are node
     positions, the keys link rows or ORIGIN/SINK.  They become dense arrays:
-    groups numbers the distinct (dest, node, in_key) keys, and group g's
-    movements are rows first[g] to first[g] + count[g] of mass (movement,
-    bin), out keys ascending.  Each mass cell sums its contributions in
-    their order; totals (group, bin) sums each group's rows in the order
-    their out keys first appear.  Where no mass exists for an incoming link
-    at some instant, the split follows the destination's shortest-path
-    successor in `trees` (`network.Trees`), so residual pedestrians route
-    wherever the destination can be reached.
+    group g is row g of group_keys, the distinct (dest, node, in_key) keys
+    by in key, dest and node (`group` finds them), and its movements are
+    rows first[g] to first[g] + count[g] of mass (movement, bin), out keys
+    ascending.  Each mass cell sums its contributions in their order; totals
+    (group, bin) sums each group's rows in the order their out keys first
+    appear.  Where no mass exists for an incoming link at some instant, the
+    split follows the destination's shortest-path successor in `trees`
+    (`network.Trees`), so residual pedestrians route wherever the
+    destination can be reached.
     """
 
     def __init__(self, n_bins: int, trees, movements=None):
@@ -274,10 +275,11 @@ class TurningFractions:
         if movements is None:
             movements = (np.zeros(0, dtype=int),) * 5 + (np.zeros(0),)
         dest, node, in_key, out_key, bins, mass = movements
-        group, key_at = _group(in_key, node, dest)
+        group, key_at = _group(node, dest, in_key)
         move, seen = _group(out_key, group)  # seen: each movement's first contribution
-        keys = zip(dest[key_at].tolist(), node[key_at].tolist(), in_key[key_at].tolist())
-        self.groups = {key: g for g, key in enumerate(keys)}
+        self.group_keys = np.column_stack((dest[key_at], node[key_at], in_key[key_at]))
+        self.n_nodes = trees.dist.shape[1]
+        self.codes = np.append(self._code(*self.group_keys.T), np.iinfo(np.int64).max)  # ascending, as the groups
         self.count = np.bincount(group[seen], minlength=len(key_at))
         self.first = np.cumsum(self.count) - self.count
         self.out_key = out_key[seen]
@@ -299,7 +301,17 @@ class TurningFractions:
 
     @property
     def destinations(self) -> list[int]:  # node positions
-        return sorted({key[0] for key in self.groups} | set(np.flatnonzero(self.tree_row >= 0).tolist()))
+        return sorted(set(self.group_keys[:, 0].tolist()) | set(np.flatnonzero(self.tree_row >= 0).tolist()))
+
+    def group(self, dests, nodes, in_keys) -> np.ndarray:
+        """The group of each (dest, node, in key), -1 where it has no movements."""
+        code = self._code(*(np.asarray(a, dtype=np.int64) for a in (dests, nodes, in_keys)))
+        at = np.searchsorted(self.codes, code)
+        return np.where(self.codes[at] == code, at, -1)
+
+    def _code(self, dests, nodes, in_keys) -> np.ndarray:
+        """(dest, node, in key) as one int64, ordered by in key, then dest, then node, as the groups."""
+        return ((in_keys + 1) * self.n_nodes + dests) * self.n_nodes + nodes
 
     def fractions(self, dests, nodes, in_keys, t_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized splits of many incoming links at one instant, as flat arrays.
@@ -315,9 +327,7 @@ class TurningFractions:
         """
         t = min(t_idx, self.n_bins - 1)
         dests, nodes, in_keys = (np.asarray(a, dtype=int) for a in (dests, nodes, in_keys))
-        get = self.groups.get
-        group = np.array([get(key, -1) for key in zip(dests.tolist(), nodes.tolist(), in_keys.tolist())],
-                         dtype=np.intp)
+        group = self.group(dests, nodes, in_keys)
         sinks = np.flatnonzero(dests == nodes)
         group[sinks] = -1
 
@@ -332,12 +342,12 @@ class TurningFractions:
         by_mass, keys = np.repeat(routed, count)[moved], self.out_key[moves[moved]]
         fracs = (mass / np.repeat(total, count))[moved]
 
-        # the rest follow the successor, where there is one
+        # the rest follow the successor in their destination's tree column at t, where there is one
         rest = np.ones(len(dests), dtype=bool)
         rest[sinks] = False
         rest[routed] = False
-        rest = np.flatnonzero(rest)
-        succ = self._successor(dests[rest], nodes[rest], t)
+        rest = np.flatnonzero(rest & (self.tree_row[dests] >= 0))
+        succ = self.trees.succ[self.tree_cols[self.tree_row[dests[rest]], t], nodes[rest]]
         rest, succ = rest[succ >= 0], succ[succ >= 0]
 
         query = np.concatenate((sinks, by_mass, rest))
@@ -345,14 +355,6 @@ class TurningFractions:
         out_keys = np.concatenate((np.full(len(sinks), SINK), keys, succ))
         fracs = np.concatenate((np.ones(len(sinks)), fracs, np.ones(len(rest))))
         return query[order], out_keys[order], fracs[order]
-
-    def _successor(self, dests, nodes, t):
-        """Successor link row of each (dest, node) in the dest's tree column at bin t, -1 where none."""
-        rows = self.tree_row[dests]
-        out = np.full(len(dests), -1)
-        has = rows >= 0
-        out[has] = self.trees.succ[self.tree_cols[rows[has], t], nodes[has]]
-        return out
 
 
 def paths_to_turning_fractions(path_flows, network, grid, costs=None, trees=None) -> TurningFractions:

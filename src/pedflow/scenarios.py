@@ -33,12 +33,14 @@ GRID_PRESETS = (1, 2, 3)
 CORRIDOR_PRESETS = (4, 5, 6)
 
 
-def _pair(link_id: int, a: int, b: int, length: float, width: float,
-          v_f=DEFAULT_V_F, k_jam=DEFAULT_K_JAM, omega=DEFAULT_OMEGA) -> tuple[Link, Link]:
-    cap = default_capacity(width, v_f, k_jam, omega)
-    fwd = Link(link_id, a, b, length, width, v_f, k_jam, omega, cap, opposite=link_id + 1)
-    bwd = Link(link_id + 1, b, a, length, width, v_f, k_jam, omega, cap, opposite=link_id)
-    return fwd, bwd
+def _paired_links(segments, length: float) -> list[Link]:
+    """Two paired links per (from node, to node, width) segment, numbered 1, 2, 3, ... in segment order."""
+    links = []
+    for i, (a, b, width) in enumerate(segments):
+        cap = default_capacity(width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA)
+        links.append(Link(2 * i + 1, a, b, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, 2 * i + 2))
+        links.append(Link(2 * i + 2, b, a, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, 2 * i + 1))
+    return links
 
 
 def _kind(nid: int, origins, destinations) -> str:
@@ -53,18 +55,13 @@ def make_grid_network(n: int = 3, length: float = DEFAULT_LENGTH, width: float =
     nodes = [Node(row * n + col + 1, x=col * length, y=-row * length,
                   kind=_kind(row * n + col + 1, origins, destinations))
              for row in range(n) for col in range(n)]
-    links = []
-    next_id = 1
-    for row in range(n):
-        for col in range(n):
-            nid = row * n + col + 1
-            if col + 1 < n:
-                links.extend(_pair(next_id, nid, nid + 1, length, width))
-                next_id += 2
-            if row + 1 < n:
-                links.extend(_pair(next_id, nid, nid + n, length, width))
-                next_id += 2
-    return Network(nodes, links)
+    segments = []
+    for nid in range(1, n * n + 1):  # row-major, each node's segment to the east, then to the south
+        if nid % n:
+            segments.append((nid, nid + 1, width))
+        if nid <= n * n - n:
+            segments.append((nid, nid + n, width))
+    return Network(nodes, _paired_links(segments, length))
 
 
 def make_corridor_network(segments: int = 9, length: float = DEFAULT_LENGTH,
@@ -73,13 +70,8 @@ def make_corridor_network(segments: int = 9, length: float = DEFAULT_LENGTH,
     """Straight chain of bidirectional segments, nodes numbered 1..segments+1."""
     nodes = [Node(i + 1, x=i * length, y=0.0, kind=_kind(i + 1, origins, destinations))
              for i in range(segments + 1)]
-    links = []
-    next_id = 1
-    for i in range(segments):
-        w = bottleneck_width if bottleneck_segment is not None and i == bottleneck_segment else width
-        links.extend(_pair(next_id, i + 1, i + 2, length, w))
-        next_id += 2
-    return Network(nodes, links)
+    widths = [bottleneck_width if i == bottleneck_segment else width for i in range(segments)]
+    return Network(nodes, _paired_links([(i + 1, i + 2, w) for i, w in enumerate(widths)], length))
 
 
 def trapezoid_profile(ramp_start: float, peak_start: float, peak: float,

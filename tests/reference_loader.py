@@ -66,8 +66,10 @@ def turning_fractions(tf, dest: int, node: int, in_key: int, t_idx: int, arrays)
         return int(row) if row < 0 else arrays.order[row]
 
     dest_pos, node_pos = arrays.node_index[dest], arrays.node_index[node]
-    g = tf.groups.get((dest_pos, node_pos, in_key if in_key == ORIGIN else arrays.index[in_key]))
-    if g is not None:
+    key = (dest_pos, node_pos, in_key if in_key == ORIGIN else arrays.index[in_key])
+    g = np.flatnonzero((tf.group_keys == key).all(axis=1))  # group g is row g of the keys
+    if g.size:
+        g = g[0]
         total = tf.totals[g, t]
         if total > 1e-15:
             moves = range(tf.first[g], tf.first[g] + tf.count[g])

@@ -250,10 +250,7 @@ class StaticResult:
                     f = state.flows[od][row, pos]
                     for lid in path.link_ids:
                         u[self.link_index[lid], k] += f
-        self._u = u
-
-    def inflow_rates(self):
-        return self._u
+        self.U = np.concatenate((np.zeros((len(u), 1)), np.cumsum(u * grid.dt, axis=1)), axis=1)  # cumulative entries
 
 
 def static_loader(network, grid, demand, fractions, state):

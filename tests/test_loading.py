@@ -340,7 +340,7 @@ class TestLoaderInvariants:
         # test_exits_after_a_reduced_step_follow_entry_order for the rest)
         for l in range(len(result.link_order)):
             for t in range(reduced[l] + 1):
-                expected = _counts_up_to_rank(result.U, result.Ud, [result.V[l, t]], n_bins, rows=[l])[0]
+                expected = _counts_up_to_rank(result.U, result.Ud, [result.V[l, t]], n_bins, rows=[l])[0][0]
                 assert np.abs(result.Vd[l, :, t] - expected).max() <= 1e-9 * max(1.0, result.U[l, -1])
 
     @pytest.mark.xfail(strict=True, reason="a node that reduces an in-link's exits scales the "
@@ -358,7 +358,7 @@ class TestLoaderInvariants:
         result = run_due(net, demand, cfg)[0].loading
         l, n_bins = result.link_index[29], result.grid.n_bins
         for t in range(n_bins + 1):
-            expected = _counts_up_to_rank(result.U, result.Ud, [result.V[l, t]], n_bins, rows=[l])[0]
+            expected = _counts_up_to_rank(result.U, result.Ud, [result.V[l, t]], n_bins, rows=[l])[0][0]
             assert np.abs(result.Vd[l, :, t] - expected).max() <= 1e-9 * max(1.0, result.U[l, -1])
 
 
@@ -399,6 +399,59 @@ class TestLoaderParity:
                        SINK if out_key == SINK else order[out_key], *flows)
                       for node, t, in_key, out_key, *flows in got.node_trace]
             assert in_ids == want.node_trace
+            return got
+
+        run_due(net, demand, cfg, loader=both)
+
+
+LATE = 45  # the late release's bin, long after the first burst has walked off
+
+
+@st.composite
+def quiet_assignments(draw):
+    """Paired networks loaded in two bursts: a first one over bins 0-5 at up
+    to 3 ped/s per OD, then one OD released again at bin LATE.  The network
+    is empty well before LATE, so a loading skips quiet steps in mid-horizon,
+    and empty again well before the 100-s horizon, so it ends on the final
+    fill.  Some draws add a release past the horizon, which never comes."""
+    net, demand = draw(paired_networks(max_rate=3.0, max_ods=2))
+    origin, dest = draw(st.sampled_from(demand.od_pairs()))
+    demand.add(origin, dest, float(LATE), draw(st.floats(0.1, 3.0)))
+    if draw(st.booleans()):
+        demand.add(origin, dest, 150.0, 1.0)
+    variant, gamma = draw(st.sampled_from((("logistic", None), ("power", 0.5), ("power", 2.0))))
+    # not the effective storage rule: under it two persons walking toward
+    # each other on a 2-segment corridor can block each other for good
+    cfg = ScenarioConfig(dt=1.0, horizon=100.0, max_iters=2, fd_variant=variant, fd_gamma=gamma, node_trace=True)
+    return net, demand, cfg
+
+
+class TestQuietStepParity:
+    @settings(max_examples=40, deadline=None)
+    @given(quiet_assignments())
+    def test_quiet_steps_and_the_final_fill_match_the_per_node_loader(self, case):
+        """Steps where nobody is on a link or queued, in mid-horizon and after
+        the last release, give the per-node loader's curves, node trace,
+        unroutable and queued persons bit for bit."""
+        net, demand, cfg = case
+        options = dict(fd_variant=cfg.fd_variant, fd_gamma=cfg.fd_gamma,
+                       effective_storage=cfg.effective_storage, node_trace=True)
+
+        def both(network, grid, demand, fractions, state):
+            got = load_flows(network, grid, demand, fractions, **options)
+            want = reference_load_network(network, grid, demand, fractions, **options)
+            for name in ("U", "V", "Ud", "Vd", "completed", "loaded", "queued"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.unroutable == want.unroutable
+            nodes, order = network.arrays.nodes, network.arrays.order
+            in_ids = [(nodes[node], t, ORIGIN if in_key == ORIGIN else order[in_key],
+                       SINK if out_key == SINK else order[out_key], *flows)
+                      for node, t, in_key, out_key, *flows in got.node_trace]
+            assert in_ids == want.node_trace
+            # the inputs reach both quiet cases: nobody on a link before the
+            # late release, and nobody left on one or queued at the horizon
+            assert (got.U[:, LATE] - got.V[:, LATE] <= 1e-12).all()
+            assert (got.U[:, -1] - got.V[:, -1] <= 1e-12).all() and got.queued.sum() == 0
             return got
 
         run_due(net, demand, cfg, loader=both)

@@ -502,6 +502,13 @@ def as_positions(net, key):
     return net.arrays.node_index[dest], net.arrays.node_index[node], as_row(net, in_key)
 
 
+def group_of(tf, key):
+    """The group of key = (dest position, node position, link row or ORIGIN), which must have one."""
+    g = int(tf.group(*([part] for part in key))[0])
+    assert g >= 0, key
+    return g
+
+
 def lookup(net, tf, dest, node, in_key, t):
     """One query of the array-form TurningFractions.fractions in node and link
     ids, as [(out_key, fraction), ...]: positions and rows at the boundary."""
@@ -580,7 +587,7 @@ class TestTurningFractions:
         movements = (np.full(6, 8), np.full(6, 4), np.full(6, ORIGIN), np.array([21, 9, 19, 9, 9, 9]),
                      np.array([0, 0, 0, 1, 1, 1]), np.array([0.1, 0.2, 0.3, 0.3, 0.2, 0.1]))
         tf = TurningFractions(grid.n_bins, self.one_tree(net, 9, {}), movements)
-        g = tf.groups[(8, 4, ORIGIN)]  # node positions of nodes 9 and 5; link rows
+        g = group_of(tf, (8, 4, ORIGIN))  # node positions of nodes 9 and 5; link rows
         assert tf.out_key[tf.first[g]:tf.first[g] + tf.count[g]].tolist() == [9, 19, 21]
         assert 0.1 + 0.2 + 0.3 != 0.2 + 0.3 + 0.1
         assert tf.totals[g, 0] == 0.1 + 0.2 + 0.3
@@ -595,7 +602,7 @@ class TestTurningFractions:
         costs = np.full((len(net.links), grid.n_bins), 0.1)
         tf = paths_to_turning_fractions([(long, 0, 0.1), (short, 0, 0.2), (short, 0, 0.3)], net, grid, costs)
         pos, row = net.arrays.node_index, net.arrays.index
-        g = tf.groups[(pos[9], pos[3], row[long.link_ids[1]])]
+        g = group_of(tf, (pos[9], pos[3], row[long.link_ids[1]]))
         assert tf.out_key[tf.first[g]] == row[long.link_ids[2]] and tf.count[g] == 1
         assert tf.mass[tf.first[g], 0] == 0.1 + 0.2 + 0.3
 
@@ -609,7 +616,7 @@ class TestTurningFractions:
         tf = paths_to_turning_fractions([(path, 0, 1.0)], net, grid, costs)
         assert 0.7 + 0.2 + 0.1 < 1.0
         pos = net.arrays.node_index
-        g = tf.groups[(pos[6], pos[6], net.arrays.index[path.link_ids[-1]])]
+        g = group_of(tf, (pos[6], pos[6], net.arrays.index[path.link_ids[-1]]))
         assert tf.mass[tf.first[g]].tolist() == [0.0, 1.0] + [0.0] * (grid.n_bins - 2)
 
 
@@ -662,9 +669,9 @@ class TestFractionsParity:
         net, grid, costs, items = case
         got = paths_to_turning_fractions(items, net, grid, costs)
         want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
-        assert sorted(got.groups) == sorted(as_positions(net, key) for key in want.movements)
+        assert sorted(map(tuple, got.group_keys.tolist())) == sorted(as_positions(net, key) for key in want.movements)
         for key, outs in want.movements.items():
-            g = got.groups[as_positions(net, key)]
+            g = group_of(got, as_positions(net, key))
             rows = slice(got.first[g], got.first[g] + got.count[g])
             assert got.out_key[rows].tolist() == [as_row(net, k) for k in sorted(outs)]
             assert got.mass[rows].tobytes() == np.array([outs[k] for k in sorted(outs)]).tobytes()
@@ -695,3 +702,34 @@ class TestFractionsParity:
             assert query.tolist() == [q for q, _, _ in expected]
             assert out_keys.tolist() == [as_row(net, key) for _, key, _ in expected]
             assert fracs.tobytes() == np.array([frac for _, _, frac in expected], dtype=float).tobytes()
+
+
+class TestLookupParity:
+    @settings(max_examples=150, deadline=None)
+    @given(route_flows(), st.data())
+    def test_random_queries_match_the_movement_dict(self, case, data):
+        """fractions() answers random (destination, node, in key) queries at a
+        random bin (one past the last too) with the reference dict lookup's
+        bytes.  Movement keys mix with absent ones: any destination (some
+        without a tree), any node (some the destination, which sinks), any
+        link or an origin, so the others go to the successor fallback or get
+        no entry.  Every (destination with movements, node, link or origin)
+        is asked too, which holds every in key past the movements' ones."""
+        net, grid, costs, items = case
+        got = paths_to_turning_fractions(items, net, grid, costs)
+        want = reference_fractions.paths_to_turning_fractions(items, net, grid, costs)
+        in_keys = sorted(net.links) + [ORIGIN]
+        nodes, in_key = st.sampled_from(sorted(net.nodes)), st.sampled_from(in_keys)
+        absent = st.tuples(nodes, nodes, in_key)
+        sinks = st.builds(lambda node, key: (node, node, key), nodes, in_key)
+        known = st.sampled_from(list(want.movements)) if want.movements else absent
+        keys = data.draw(st.lists(st.one_of(known, absent, sinks), min_size=1, max_size=60))
+        keys += list(itertools.product(sorted({dest for dest, _, _ in want.movements}), sorted(net.nodes), in_keys))
+        t = data.draw(st.integers(0, grid.n_bins))
+        dests, at_nodes, keys_in = (np.array(column) for column in zip(*(as_positions(net, key) for key in keys)))
+        query, out_keys, fracs = got.fractions(dests, at_nodes, keys_in, t)
+        expected = [(q, key, frac) for q, (dest, node, in_key) in enumerate(keys)
+                    for key, frac in reference_fractions.turning_fractions(want, dest, node, in_key, t, net.arrays)]
+        assert query.tolist() == [q for q, _, _ in expected]
+        assert out_keys.tolist() == [as_row(net, key) for _, key, _ in expected]
+        assert fracs.tobytes() == np.array([frac for _, _, frac in expected], dtype=float).tobytes()
