@@ -89,8 +89,9 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     (proportional movements), never exceed demand, and leave every outgoing
     link's reserved supply intact.  Demands that all fit pass whole.  If not,
     the equal-priority shares (unused shares redistributed) are returned when
-    their total is within 1e-9 (relative) of the simplex maximum, and
-    otherwise the simplex's maximal-total vertex, unchanged.
+    their total is within 1e-9 (relative) of the simplex maximum, run only
+    where `_beatable` says it may be more, and otherwise the simplex's
+    maximal-total vertex, unchanged.
     Negative reserved supply (reservation larger than the receiving flow)
     clamps to zero and is reported in `clamped`.  The problems of a stack,
     ragged or not, are solved apart: padding does not change the fair shares,
@@ -108,12 +109,8 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     congested = np.flatnonzero(~supply_fits(col_load, available, scale[:, None]).all(axis=1))
     flows, reductions = S.copy(), np.ones((len(S), n_in))
     flows[congested], reductions[congested] = _equal_priority_shares(S[congested], available[congested])
-    # the simplex runs only where its maximum may beat the fair total by the 1e-9: the
-    # bound, priced by the out-links the fair shares fill, caps the maximum, and half
-    # of the 1e-9 is kept as margin
-    bound = _filled_bound(S[congested], available[congested], flows[congested])
-    short = flows[congested].sum(axis=(1, 2)) < bound - 0.5e-9 * np.maximum(1.0, bound)
-    for p in congested[short].tolist():
+    beatable = _beatable(S[congested], available[congested], flows[congested], reductions[congested])
+    for p in congested[beatable].tolist():
         r, c = sizes[p]
         q_max, theta_max = _max_total_vertex(S[p, :r, :c], available[p, :c])
         if flows[p, :r, :c].copy().sum() < q_max.sum() - 1e-9 * max(1.0, q_max.sum()):  # summed as if alone
@@ -167,21 +164,15 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     return np.where(started[:, :, None], theta[:, :, None] * S, 0.0), theta
 
 
-def _filled_bound(S: np.ndarray, available: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """An upper bound on the maximal total transfer of each problem of a stack, by LP duality.
-
-    With demands d_i and available supplies a_j, any prices w >= 0 on the
-    outgoing links of finite supply bound the total by sum_j a_j w_j +
-    sum_i max(0, d_i - sum_j S_ij w_j).  This prices at 1 each finite
-    outgoing link that the flows fill (within 1e-12 of max(1, a_j)): by
-    complementary slackness, the flows' own total wherever every in-link
-    they reduce sends only into filled links of finite supply.
-    """
+def _beatable(S: np.ndarray, available: np.ndarray, flows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Whether the simplex may beat the flows of each problem of a stack: some in-link
+    they reduce sends into a sink or into an out-link they leave unfilled (short by
+    more than 1e-12 of max(1, its supply)).  Where none does, complementary slackness,
+    with the filled out-links priced at 1, makes the flows' total maximal."""
     finite = np.isfinite(available)
-    a = np.where(finite, available, 0.0)
-    w = finite & (flows.sum(axis=1) >= a - 1e-12 * np.maximum(1.0, a))
-    unpaid = np.maximum(0.0, S.sum(axis=2) - (S * w[:, None]).sum(axis=2))
-    return (a * w).sum(axis=1) + unpaid.sum(axis=1)
+    a = np.where(finite, available, 0.0)  # no inf - inf on a sink's column
+    filled = finite & (flows.sum(axis=1) >= a - 1e-12 * np.maximum(1.0, a))
+    return ((theta < 1.0)[:, :, None] & (S > 0) & ~filled[:, None, :]).any(axis=(1, 2))
 
 
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):

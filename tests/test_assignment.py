@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from pedflow.assignment import (
 from pedflow.config import ScenarioConfig
 from pedflow.loading import load_network as load_flows
 from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
-from pedflow.scenarios import generate_corridor_scenario, generate_grid_scenario, make_grid_network
+from pedflow.scenarios import PRESET_PVDF, generate_corridor_scenario, generate_grid_scenario, make_grid_network
 
 
 def free_flow_column(network):
@@ -315,3 +317,26 @@ class TestCostsFromLoading:
         assert costs[row, 0] == pytest.approx(at_rest)  # empty network at t=0
         mid = int(30 / cfg.dt)
         assert costs[row, mid] > at_rest  # two-way flow raises the cost
+
+    def test_memory_stays_near_the_output_on_a_large_grid(self):
+        """On the 50x50 grid (9,800 links) after one loading, only the few
+        hundred links entered and their twins go through the cost formula, so
+        the allocation peak stays within 1.5x the cost array itself; the
+        formula on every row would allocate several arrays of its size."""
+        n = 50
+        net = make_grid_network(n, origins={1, n * n}, destinations={1, n * n})
+        demand = DemandProfile()
+        for k in range(8):
+            demand.add(1, n * n, float(k), 3.0)
+            demand.add(n * n, 1, float(k), 3.0)
+        cfg = ScenarioConfig(dt=1.0, horizon=40.0, pvdf=PRESET_PVDF, max_iters=1, gap_tol=1e-15,
+                             node_trace=False, enumerate_paths=False)
+        state, _ = run_due(net, demand, cfg)
+        tracemalloc.start()
+        try:
+            costs = costs_from_loading(net, TimeGrid(cfg.dt, cfg.horizon), state.loading, cfg.pvdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert costs.shape == (9800, 40)
+        assert peak <= 1.5 * costs.nbytes

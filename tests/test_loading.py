@@ -213,6 +213,19 @@ class TestPowerVariantFloatNoise:
         assert np.isfinite(result.U).all() and np.isfinite(result.V).all()
 
 
+class TestEffectiveStorage:
+    @pytest.mark.xfail(strict=True, reason="an empty link whose twin holds anyone has density ratio 0 and "
+                       "so storage 0 under the effective-storage rule: the two walkers block each other")
+    def test_walkers_meeting_head_on_both_arrive(self):
+        demand = DemandProfile()
+        demand.add(1, 3, 0.0, 1.0)
+        demand.add(3, 1, 0.0, 1.0)
+        net = make_corridor_network(2, origins={1, 3}, destinations={1, 3})
+        cfg = ScenarioConfig(dt=1.0, horizon=100.0, max_iters=1, effective_storage=True)
+        result = run_due(net, demand, cfg)[0].loading
+        assert result.completed == pytest.approx([1.0, 1.0], rel=1e-9)
+
+
 class TestBidirectionalCorridor:
     def test_two_way_loading_conserves(self):
         net, demand, cfg = generate_corridor_scenario(preset=6)

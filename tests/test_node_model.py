@@ -154,18 +154,14 @@ class TestOptimalityAndProportionality:
                     )
 
     def test_screen_bound_is_at_least_the_maximal_total(self):
-        # the bound lets solve_node skip the simplex; it must never undercut the optimum
+        # the screen lets solve_node skip the simplex; where it does, the fair total is the optimum
         rng = np.random.default_rng(7)
         for _ in range(300):
             n_in, n_out = rng.integers(1, 5), rng.integers(1, 5)
             S = rng.uniform(0.0, 3.0, size=(n_in, n_out)) * (rng.random(size=(n_in, n_out)) < 0.7)
             available = rng.uniform(0.0, 4.0, size=n_out) * (rng.random(n_out) < 0.9)
             available[rng.random(n_out) < 0.2] = np.inf  # sinks
-            fair, _ = nodemodel._equal_priority_shares(S[None], available[None])
-            bound = nodemodel._filled_bound(S[None], available[None], fair)[0]
-            best = brute_force_max_total(S, np.minimum(available, 1e6))  # a sink never binds at these demands
-            assert bound >= best * (1 - 1e-12)
-            assert bound <= S.sum() * (1 + 1e-12)
+            assert_screen_keeps_the_maximum(S, available)
 
     @pytest.mark.xfail(strict=True, reason="the equal-priority shares cut in-link 1 to theta 0.455 while "
                        "out-link 0 holds 2.137 of 2.346, so the simplex is taken, and its vertex gives "
@@ -234,33 +230,20 @@ def filled(flows, available):
     return finite & (flows.sum(axis=0) >= a - 1e-12 * np.maximum(1.0, a))
 
 
-class TestScreenBound:
-    @settings(max_examples=500, deadline=None)
-    @given(node_problems(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-    def test_filled_bound_caps_the_maximum_and_meets_priced_flows(self, problem, factors):
-        """_filled_bound, priced by the fair shares or by any feasible flows,
-        never undercuts the maximal total transfer (within 1e-12 of max(1, that
-        total)) nor exceeds the total demand, and it is the flows' own total
-        wherever every in-link they reduce sends only into out-links of finite
-        supply that they fill: complementary slackness.  The oracle never
-        overshoots the maximum, as it scales near-feasible vertices into the
-        polytope."""
-        S = problem.demands
-        available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
-        best = brute_force_max_total(S, np.minimum(available, 1e6))  # sinks never bind
-        fair, fair_theta = nodemodel._equal_priority_shares(S[None], available[None])
-        # feasible flows from the drawn factors: each in-link scaled under the supplies it overfills
-        drawn = np.array(factors[:len(S)])
-        load = drawn @ S
-        over = load > available
-        drawn *= np.where(S[:, over] > 0, available[over] / load[over], 1.0).min(axis=1, initial=1.0)
-        for flows, theta in ((fair[0], fair_theta[0]), (drawn[:, None] * S, drawn)):
-            bound = nodemodel._filled_bound(S[None], available[None], flows[None])[0]
-            assert bound >= best - 1e-12 * max(1.0, best)
-            assert bound <= S.sum() + 1e-11 * max(1.0, S.sum())
-            reduced = (theta < 1.0) & (S.sum(axis=1) > 0)
-            if not (S[reduced][:, ~filled(flows, available)] > 0).any():
-                assert bound == pytest.approx(flows.sum(), rel=1e-11, abs=1e-11)
+def assert_screen_keeps_the_maximum(S, available, fair=None, theta=None, beatable=None):
+    """Where nodemodel._beatable skips the simplex, the fair total is the
+    maximal total within 1e-12 of max(1, it); wherever the maximum beats the
+    fair total by more than 1e-9 of max(1, it), the screen runs the simplex.
+    The fair shares and the screen's verdict are computed on S alone unless
+    given (as a stack computes them)."""
+    if fair is None:
+        fair, theta = (a[0] for a in nodemodel._equal_priority_shares(S[None], available[None]))
+        beatable = nodemodel._beatable(S[None], available[None], fair[None], theta[None])[0]
+    best = brute_force_max_total(S, np.minimum(available, 1e6))  # a sink never binds at these demands
+    if not beatable:
+        assert abs(fair.sum() - best) <= 1e-12 * max(1.0, best)
+    if best - fair.sum() > 1e-9 * max(1.0, best):
+        assert beatable
 
 
 class TestSolverParity:
@@ -351,6 +334,35 @@ class TestStackParity:
         assert got.clamped == tuple(clamped)
 
 
+class TestSimplexScreen:
+    @settings(max_examples=500, deadline=None)
+    @given(node_problems())
+    def test_skips_only_where_the_fair_shares_are_maximal(self, problem):
+        """The simplex screen, on the fair shares of a drawn problem, skips
+        only problems whose fair total is maximal and runs on every problem
+        whose maximum beats it by the 1e-9 solve_node decides on.  The oracle
+        never overshoots the maximum, as it scales near-feasible vertices
+        into the polytope."""
+        available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
+        assert_screen_keeps_the_maximum(problem.demands, available)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_stacks())
+    def test_screens_each_problem_of_a_ragged_stack_as_alone(self, case):
+        """On a zero-padded stack of mixed shapes, the screen gives every
+        problem the verdict it gives the problem alone, and that verdict keeps
+        the maximum as above."""
+        problems, stack = case
+        available, _ = nodemodel.available_supply(stack.supplies, stack.counterflow)
+        fair, theta = nodemodel._equal_priority_shares(stack.demands, available)
+        beatable = nodemodel._beatable(stack.demands, available, fair, theta)
+        for p, (problem, (r, c)) in enumerate(zip(problems, stack.sizes.tolist())):
+            alone, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
+            fair_alone, theta_alone = nodemodel._equal_priority_shares(problem.demands[None], alone[None])
+            assert beatable[p] == nodemodel._beatable(problem.demands[None], alone[None], fair_alone, theta_alone)[0]
+            assert_screen_keeps_the_maximum(problem.demands, alone, fair[p, :r, :c], theta[p, :r], beatable[p])
+
+
 @st.composite
 def decision_edge_problems(draw, base=None, target=None, steps=40):
     """Node problems whose fair total falls short of the maximal total by
@@ -359,10 +371,10 @@ def decision_edge_problems(draw, base=None, target=None, steps=40):
     A `node_problems` draw gets two more in-links and out-links: in-link A
     sends only to out-link c, in-link B to c and to a sink, and each asks c
     for more than half its supply.  The fair shares then cut B, which the
-    maximum favours, as only part of B's flow uses c.  The bound that screens
-    the simplex prices the out-links that the fair shares fill, c among
-    them, but no sink: it exceeds the maximum only where a reduced in-link,
-    such as B, also sends into a link it does not price.  The finite
+    maximum favours, as only part of B's flow uses c.  The screen before the
+    simplex lets it run only where a reduced in-link, such as B, also sends
+    into a sink or into an out-link that the fair shares leave unfilled, as
+    B does.  The finite
     supplies are then moved toward the column loads (where all demand fits
     and the totals agree) by bisection on the shortfall, to a drawn target;
     the shortfall may jump where the fair shares change their pinning order,
