@@ -36,10 +36,11 @@ class LoadingResult:
         self.link_order = network.arrays.order
         self.link_index = network.arrays.index
         n_links, n_bins, n_dest = len(self.link_order), grid.n_bins, len(destinations)
-        self.U = np.zeros((n_links, n_bins + 1))
-        self.V = np.zeros((n_links, n_bins + 1))
-        self.Ud = np.zeros((n_links, n_dest, n_bins + 1))
-        self.Vd = np.zeros((n_links, n_dest, n_bins + 1))
+        # U over V, and Ud over Vd: each pair is two views of one array, so one gather reads both
+        self.curves = np.zeros((2, n_links, n_bins + 1))
+        self.U, self.V = self.curves
+        self.dest_curves = np.zeros((2, n_links, n_dest, n_bins + 1))
+        self.Ud, self.Vd = self.dest_curves
         self.demanded = np.zeros(n_dest)
         self.loaded = np.zeros(n_dest)
         self.completed = np.zeros(n_dest)
@@ -107,10 +108,9 @@ class LoadingResult:
         if (occ > arrays.storage[:, None] + tol).any():
             worst = int(np.argmax((occ - arrays.storage[:, None]).max(axis=1)))
             out.append(f"occupancy exceeds storage on link {self.link_order[worst]}")
-        if (np.abs(self.Ud.sum(axis=1) - self.U) > tol).any():
-            out.append("per-destination entries do not add up to the total curve")
-        if (np.abs(self.Vd.sum(axis=1) - self.V) > tol).any():
-            out.append("per-destination exits do not add up to the total curve")
+        for side, by_dest, total in zip(("entries", "exits"), self.dest_curves, self.curves):
+            if (np.abs(by_dest.sum(axis=1) - total) > tol).any():
+                out.append(f"per-destination {side} do not add up to the total curve")
         if (self.queued < -tol).any():
             out.append("negative origin queue")
         gap1 = np.abs(self.demanded - self.loaded - self.queued)
@@ -139,7 +139,8 @@ def load_network(
     one fraction lookup for every (sender, destination) pair, and one
     transfer of all movements.  Only nodes whose movements overfill a
     reserved supply go to `solve_node`, one zero-padded stack per step.  A
-    quiet step, with nobody on a link or queued, runs none of this.
+    step where nobody can leave a link or a queue stops after the sending
+    bounds, and one with nobody on a link or queued runs none of this.
     """
     destinations = demand.destinations()
     n_dest = len(destinations)
@@ -166,8 +167,16 @@ def load_network(
     origin_nodes = np.array(list(dict.fromkeys(o for items in released for o, _, _ in items)), dtype=int)
     queue_row = {o: i for i, o in enumerate(origin_nodes.tolist())}
     queues = np.zeros((len(origin_nodes), n_dest))
+    # per sender (a link row, or n_links + a queue row) its node and key (the link row, or ORIGIN)
+    snd_nodes = np.concatenate((arrays.head, origin_nodes))
+    snd_keys = np.concatenate((np.arange(n_links), np.full(len(origin_nodes), ORIGIN)))
+    # per column (an out-link row, or n_links + a node: its sink) its node, order by node (sink last) and place
+    col_node = np.concatenate((arrays.tail, np.arange(len(arrays.nodes))))
+    col_order = col_node.argsort(kind="stable")
+    col_rank = col_order.argsort()
 
-    U, V, Ud, Vd = result.U, result.V, result.Ud, result.Vd
+    curves, dest_curves = result.curves, result.dest_curves
+    U, V, Ud = result.U, result.V, result.Ud
     # The rows entered so far (U > 0).  Every other row has U = V = 0 up to
     # now, which the kernels read as no sending flow and zero density, and
     # its curves stay at their initial zeros.
@@ -182,42 +191,50 @@ def load_network(
         for origin, d, amount in schedule.get(t, ()):
             queues[queue_row[origin], d] += amount
 
-        # A sending bound reads U at or before t, so only `rows` may send.  With none and no queue, nobody
-        # moves, and after the last release nobody ever will.
-        rows = live[U[live, t] * ROUNDING - V[live, t] > EPS]
-        queued = np.flatnonzero(queues.sum(axis=1) > EPS)
-        if not rows.size and not queued.size:
-            end = n_bins if t >= last_release else t + 1
-            for curve in (U, V, Ud, Vd):  # every live row keeps its counts, as x + 0.0 == x on them
-                curve[live, ..., t + 1 : end + 1] = curve[live, ..., t, None]
+        # A sending bound reads U at or before t, so only `rows` may send.  Without a sender and a queue nobody
+        # moves; with nobody on a link either, after the last release nobody ever will.
+        u, v = curves[:, live, t]
+        rows = live[u * ROUNDING - v > EPS]
+        queued = (np.add.reduce(queues, axis=1) > EPS).nonzero()[0]
+        end = n_bins if t >= last_release and not rows.size else t + 1
+        if rows.size or queued.size:
+            k[live] = (u - v) / arrays.area[live]
+            rho = fd.density_ratio_profile(k, twin, rows)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vhat = fd.effective_speed_profile(VF[rows], rho, fd_variant, fd_gamma)
+                S = ltm.sending_flows_at(U, V, t, dt, L[rows], np.maximum(vhat, 1e-15), CAP[rows], rows)
+            sends = (S > EPS) & (vhat > 0)
+            rows, S = rows[sends], S[sends]
+        if not rows.size and not queued.size:  # nobody moves: the counts carry forward
+            for curve in (curves, dest_curves):  # every live row keeps its counts, as x + 0.0 == x on them
+                curve[:, live, ..., t + 1 : end + 1] = curve[:, live, ..., t : t + 1]
             if end == n_bins:
                 break
             continue
-        k[live] = (U[live, t] - V[live, t]) / arrays.area[live]
-        rho = fd.density_ratio_profile(k, twin, rows)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vhat = fd.effective_speed_profile(VF[rows], rho, fd_variant, fd_gamma)
-            S = ltm.sending_flows_at(U, V, t, dt, L[rows], np.maximum(vhat, 1e-15), CAP[rows], rows)
-        S[vhat <= 0] = 0.0
-        snd_node, snd_key, snd_queue, persons = _senders(t, U, V, Ud, rows, S, queues, queued, origin_nodes,
-                                                         arrays.head, cursor)
+        # the senders by node, a node's sending in-links by row before its queue: per sender its persons per destination
+        # (its window's FIFO split, searched from `cursor`, or its whole queue), node, key and queue row (< 0: a link)
+        r0 = V[rows, t]
+        persons = np.concatenate((ltm.split_by_entry_order(U, Ud, r0, r0 + S, t, rows, cursor), queues[queued]))
+        ids = np.concatenate((rows, n_links + queued))
+        order = (snd_nodes[ids] * 2 + (ids >= n_links)).argsort(kind="stable")
+        ids, persons = ids[order], persons[order]
+        snd_node, snd_key, snd_queue = snd_nodes[ids], snd_keys[ids], ids - n_links
 
         # movements (sender, destination, out key, persons), by sender, destination, out key
-        m_snd, m_d = np.nonzero(persons > EPS)
+        m_snd, m_d = (persons > EPS).nonzero()
         p = persons[m_snd, m_d]
         query, m_key, frac = fractions.fractions(dest_nodes[m_d], snd_node[m_snd], snd_key[m_snd], t)
-        stuck = np.ones(len(p), dtype=bool)
+        stuck = snd_key[m_snd] != ORIGIN  # queued persons stay queued, not lost
         stuck[query] = False
-        for lost in p[stuck & (snd_key[m_snd] != ORIGIN)].tolist():  # queued persons stay queued, not lost
+        for lost in p[stuck].tolist():
             result.unroutable += lost
         moved = frac > 0
         query, m_key = query[moved], m_key[moved]
         m_snd, m_d, mass = m_snd[query], m_d[query], p[query] * frac[moved]
 
-        theta = _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, snd_key, arrays, effective_storage, node_trace,
-                          result) if mass.size else np.ones(len(snd_node))  # no movement: no node to solve
+        flow = _transfer(t, curves, k, m_snd, m_key, mass, snd_node, snd_key, col_node, col_order, col_rank, arrays,
+                         effective_storage, node_trace, result) if mass.size else mass
         # commits, each accumulator in movement order
-        flow = theta[m_snd] * mass
         positive = flow > 0
         m_snd, m_d, m_key, flow = m_snd[positive], m_d[positive], m_key[positive], flow[positive]
         to_sink, src_row = m_key == SINK, snd_key[m_snd]
@@ -225,108 +242,86 @@ def load_network(
         np.add.at(result.completed, m_d[to_sink], flow[to_sink])
         np.subtract.at(queues, (snd_queue[m_snd[from_queue]], m_d[from_queue]), flow[from_queue])
         np.add.at(result.loaded, m_d[from_queue], flow[from_queue])
-        np.clip(queues, 0.0, None, out=queues)
+        np.maximum(queues, 0.0, out=queues)
         dst_row = m_key[~to_sink]
-        if not entered[dst_row].all():
+        if not np.logical_and.reduce(entered[dst_row]):
             entered[dst_row] = True
-            live = np.flatnonzero(entered)
+            live = entered.nonzero()[0]
             slot[live] = np.arange(len(live))
         # per-(row, destination) sums in movement order, as the cells were added one by one
         cells = len(live) * n_dest
         dU = np.bincount(slot[dst_row] * n_dest + m_d[~to_sink], flow[~to_sink], cells).reshape(len(live), n_dest)
         dV = np.bincount(slot[src_row[~from_queue]] * n_dest + m_d[~from_queue], flow[~from_queue],
                          cells).reshape(len(live), n_dest)
-        Ud[live, :, t + 1] = Ud[live, :, t] + dU
-        Vd[live, :, t + 1] = Vd[live, :, t] + dV
-        U[live, t + 1] = U[live, t] + dU.sum(axis=1)
-        V[live, t + 1] = V[live, t] + dV.sum(axis=1)
+        delta = np.array((dU, dV))
+        dest_curves[:, live, :, t + 1] = dest_curves[:, live, :, t] + delta.swapaxes(0, 1)  # indexed (row, U or V, d)
+        curves[:, live, t + 1] = curves[:, live, t] + np.add.reduce(delta, axis=2)
 
-    for q in queues:
-        result.queued += q
+    result.queued += np.add.reduce(queues, axis=0)  # row by row, as a loop over the queues would add them
     return result
 
 
-def _senders(t, U, V, Ud, rows, S, queues, queued, origin_nodes, head, cursor):
-    """The step's senders by node ascending: each node's sending in-links in
-    row order, then its origin queue if it holds anyone.
-
-    S holds the sending bounds of the link rows `rows` (ascending), queued
-    the queue rows that hold anyone.  Returns per sender its node position,
-    its key (the link row, or ORIGIN), its queue row (-1 for a link) and its
-    persons per destination: the FIFO split of the link's sending window
-    (searched from `cursor`), or the whole queue.
-    """
-    sending = S > EPS
-    link_rows, r0 = rows[sending], V[rows[sending], t]
-    persons = [ltm.split_by_entry_order(U, Ud, r0, r0 + S[sending], t, link_rows, cursor), queues[queued]]
-    node = np.concatenate((head[link_rows], origin_nodes[queued]))
-    key = np.concatenate((link_rows, np.full(len(queued), ORIGIN)))
-    queue = np.concatenate((np.full(len(link_rows), -1), queued))
-    order = np.lexsort((queue, node))  # stable: links in ascending row order, the queue last
-    return node[order], key[order], queue[order], np.concatenate(persons)[order]
-
-
-def _transfer(t, U, V, k, m_snd, m_key, mass, snd_node, snd_key, arrays, effective_storage, node_trace,
-              result) -> np.ndarray:
-    """Reduction factor of each sender for one step's movements (sender, out key, persons).
+def _transfer(t, curves, k, m_snd, m_key, mass, snd_node, snd_key, col_nodes, col_order, col_rank, arrays,
+              effective_storage, node_trace, result) -> np.ndarray:
+    """The flow of each of one step's movements (sender, out key, persons): its persons times its sender's factor.
 
     A cell is one (sender, out key) pair, in sender then out key order, and a
-    column one (node, out key) pair.  A node's demand matrix has its senders
-    as rows and its used out keys, ascending with the sink last, as columns.
+    column an out-link row, or n_links + node for a node's sink (`load_network`
+    tabulates their nodes, order and places).  A node's demand matrix has its
+    senders as rows and its columns, by row with the sink last, as columns.
     Nodes whose column loads fit their available supply pass every movement
     whole; the rest go to `solve_node` as one zero-padded stack.  Counts every
     node's supply clamps into result, and traces every cell if node_trace.
     """
-    cell_of_move, first = _group(m_key, m_snd)
+    n_links, dt = len(arrays.order), result.grid.dt
+    cell_of_move, first = _group(m_snd * (n_links - SINK) + (m_key - SINK))
     cell_snd, cell_key = m_snd[first], m_key[first]
     cell_S = np.bincount(cell_of_move, mass)  # in movement order, as the cells were filled one by one
-    cell_node = snd_node[cell_snd]
-    cell_col, first = _group(np.where(cell_key == SINK, np.iinfo(np.int64).max, cell_key), cell_node)
-    col_node, col_key = cell_node[first], cell_key[first]
+    rank = col_rank[np.where(cell_key == SINK, n_links + snd_node[cell_snd], cell_key)]
+    ranks = np.bincount(rank, minlength=len(col_rank)).nonzero()[0]  # the step's columns, in order
+    cell_col, col_id = ranks.searchsorted(rank), col_order[ranks]
     col_load = np.bincount(cell_col, cell_S)  # down each column in row order, as S.sum(axis=0)
 
     # one entry per column: the sink takes everything, nothing reserved
-    supplies, reserved = np.full(len(col_key), np.inf), np.zeros(len(col_key))
-    out = np.flatnonzero(col_key != SINK)
-    if out.size:
-        rows = col_key[out]
-        storage = arrays.storage[rows]
-        if effective_storage:
-            storage = fd.density_ratio_profile(k, arrays.twin, rows) * storage
-        supplies[out] = ltm.receiving_flows_at(V, U, t, result.grid.dt, arrays.length[rows], arrays.omega[rows],
-                                               storage, arrays.capacity[rows], rows)
-        reserved[out] = ltm.counterflow_at(U, t, result.grid.dt, arrays.twin, arrays.length, arrays.v_f, rows)
+    supplies, reserved = np.zeros(len(col_id)) + np.inf, np.zeros(len(col_id))
+    out = (col_id < n_links).nonzero()[0]
+    rows = col_id[out]
+    storage = arrays.storage[rows] * (fd.density_ratio_profile(k, arrays.twin, rows) if effective_storage else 1.0)
+    supplies[out], reserved[out] = ltm.supplies_at(curves, t, dt, rows, arrays.length[rows], arrays.omega[rows],
+                                                   storage, arrays.capacity[rows], arrays.twin, arrays.v_f)
     available, clamped = available_supply(supplies, reserved)
-    result.supply_clamps += int(clamped.sum())
+    result.supply_clamps += int(np.add.reduce(clamped))
 
     # cells, columns and senders with cells each run node by node, in the same node order
-    node_first = np.flatnonzero(np.append(True, col_node[1:] != col_node[:-1]))
-    n_cols = np.diff(np.append(node_first, len(col_node)))
+    col_node = col_nodes[col_id]
+    new_node = np.concatenate(([True], col_node[1:] != col_node[:-1]))
+    node_first, node_of_col = new_node.nonzero()[0], new_node.cumsum() - 1
     scale = np.maximum(1.0, np.maximum.reduceat(col_load, node_first))
-    fits = np.logical_and.reduceat(supply_fits(col_load, available, np.repeat(scale, n_cols)), node_first)
+    fits = np.logical_and.reduceat(supply_fits(col_load, available, scale[node_of_col]), node_first)
 
-    theta = np.ones(len(snd_node))
-    if not fits.all():
+    theta = np.zeros(len(snd_node)) + 1.0
+    if not np.logical_and.reduce(fits):
         # a node's problem has its senders with cells as rows (numbered in cell order) and its columns as
         # columns; the congested nodes are one stack in node order, zero-padded to the largest problem
-        node_of_cell = np.repeat(np.arange(len(node_first)), n_cols)[cell_col]
-        new_sender = np.append(True, cell_snd[1:] != cell_snd[:-1])
-        n_rows = np.bincount(node_of_cell[new_sender], minlength=len(node_first))
-        cell_row = np.cumsum(new_sender) - 1 - (np.cumsum(n_rows) - n_rows)[node_of_cell]
-        nodes, cells = np.flatnonzero(~fits), np.flatnonzero(~fits[node_of_cell])
-        at = (np.searchsorted(nodes, node_of_cell[cells]), cell_row[cells])
+        node_of_cell = node_of_col[cell_col]
+        new_sender = np.concatenate(([True], cell_snd[1:] != cell_snd[:-1]))
+        n_rows, n_cols = np.bincount(node_of_cell[new_sender], minlength=len(node_first)), np.bincount(node_of_col)
+        cell_row = new_sender.cumsum() - 1 - (n_rows.cumsum() - n_rows)[node_of_cell]
+        nodes, cells = (~fits).nonzero()[0], (~fits[node_of_cell]).nonzero()[0]
+        at = (nodes.searchsorted(node_of_cell[cells]), cell_row[cells])
         sizes = np.column_stack((n_rows[nodes], n_cols[nodes]))
-        demands = np.zeros((len(nodes), *sizes.max(axis=0)))
+        demands = np.zeros((len(nodes), *np.maximum.reduce(sizes, axis=0)))
         demands[at + (cell_col[cells] - node_first[node_of_cell[cells]],)] = cell_S[cells]
         offsets = np.arange(demands.shape[2])
         cols = np.where(offsets < sizes[:, 1:], node_first[nodes, None] + offsets, -1)  # -1: a padded column
-        problem = NodeFlowProblem(demands, np.append(supplies, np.inf)[cols], np.append(reserved, 0.0)[cols], sizes)
+        problem = NodeFlowProblem(demands, np.concatenate((supplies, [np.inf]))[cols],
+                                  np.concatenate((reserved, [0.0]))[cols], sizes)
         theta[cell_snd[cells]] = solve_node(problem).reductions[at]
     if node_trace:
         shown = cell_S > 0
         snd, col, s_ij = cell_snd[shown], cell_col[shown], cell_S[shown]
         result.node_trace += zip(
-            snd_node[snd].tolist(), [t * result.grid.dt] * len(snd), snd_key[snd].tolist(), cell_key[shown].tolist(),
+            snd_node[snd].tolist(), [t * dt] * len(snd), snd_key[snd].tolist(), cell_key[shown].tolist(),
             s_ij.tolist(), supplies[col].tolist(), reserved[col].tolist(), (theta[snd] * s_ij).tolist(),
         )
-    return theta
+    return theta[m_snd] * mass

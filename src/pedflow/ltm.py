@@ -24,11 +24,10 @@ def interp_at(arr: np.ndarray, tau: np.ndarray, dt: float, rows: np.ndarray | No
     selects which row each tau entry reads (defaults to one tau per row).
     """
     tau = np.asarray(tau, dtype=float)
-    b = np.clip(tau / dt, 0.0, arr.shape[1] - 1)  # hold the end values, never extrapolate
+    b = np.minimum(np.maximum(tau / dt, 0.0), arr.shape[1] - 1)  # hold the end values, never extrapolate
     idx = np.minimum(b.astype(int), arr.shape[1] - 2)
     frac = b - idx
-    if rows is None:
-        rows = np.arange(arr.shape[0])
+    rows = np.arange(arr.shape[0]) if rows is None else rows
     return arr[rows, idx] * (1.0 - frac) + arr[rows, idx + 1] * frac
 
 
@@ -39,37 +38,43 @@ def sending_flows_at(U, V, t, dt, lengths, vhat, caps, rows=None):
     """
     tau = (t + 1) * dt - lengths / vhat
     boundary = interp_at(U, tau, dt, rows) - (V[:, t] if rows is None else V[rows, t])
-    return np.clip(np.minimum(boundary, caps * dt), 0.0, None)
+    return np.maximum(np.minimum(boundary, caps * dt), 0.0)
 
 
 def receiving_flows_at(V, U, t, dt, lengths, omegas, storage, caps, rows=None):
-    """Receiving flows for the step starting at bin t (persons), of every link or of `rows`.
-
-    lengths, omegas, storage and caps hold one entry per returned flow.
-    """
-    tau = (t + 1) * dt - lengths / omegas
-    boundary = interp_at(V, tau, dt, rows) + storage - (U[:, t] if rows is None else U[rows, t])
-    return np.clip(np.minimum(boundary, caps * dt), 0.0, None)
+    """Receiving flows for the step starting at bin t (persons), of every link or of `rows`: `supplies_at`
+    without twins.  lengths, omegas, storage and caps hold one entry per returned flow."""
+    rows = np.arange(len(U)) if rows is None else np.asarray(rows)
+    no_twin = np.full(len(U), -1)
+    return supplies_at(np.array((U, V)), t, dt, rows, lengths, omegas, storage, caps, no_twin, np.zeros(0))[0]
 
 
 def counterflow_at(U, t, dt, twin, lengths, v_f, rows=None):
-    """Counterflow reservations for the step starting at bin t (persons), of every link or of `rows`.
+    """Counterflow reservations for the step starting at bin t (persons), of every link or of `rows`:
+    `supplies_at` on U alone.  twin, lengths and v_f hold every link."""
+    rows = np.arange(len(twin)) if rows is None else np.asarray(rows)
+    return supplies_at(np.array((U, U)), t, dt, rows, lengths[rows], v_f[rows], 0.0, 0.0, twin, v_f)[1]
+
+
+def supplies_at(curves, t, dt, rows, lengths, omegas, storage, caps, twin, v_f):
+    """Receiving flows and counterflow reservations of the link rows `rows` for the step starting at bin t
+    (persons), from one gather of curves, U stacked over V (2, n, n_bins + 1).
 
     Link i reserves the pedestrians who entered its twin (row twin[i]) within
     the one-step window that, at the twin's free-flow pace over the shared
     length, puts them at link i's entry node during the step.  One-way links
-    (twin -1) reserve nothing.  twin, lengths and v_f hold every link.
+    (twin -1) reserve nothing.  lengths, omegas, storage and caps hold one
+    entry per row, twin and v_f one per link.
     """
-    rows = np.arange(len(twin)) if rows is None else np.asarray(rows)
-    out = np.zeros(len(rows))
-    paired = np.flatnonzero(twin[rows] >= 0)
-    if paired.size:
-        links = rows[paired]
-        opposite = twin[links]
-        shift = lengths[links] / v_f[opposite]
-        ends = interp_at(U, np.concatenate(((t + 1) * dt - shift, t * dt - shift)), dt, np.concatenate((opposite,) * 2))
-        out[paired] = np.maximum(ends[: paired.size] - ends[paired.size:], 0.0)
-    return out
+    n, k = curves.shape[1], len(rows)
+    paired = (twin[rows] >= 0).nonzero()[0]
+    opposite = twin[rows[paired]]
+    shift = lengths[paired] / v_f[opposite]
+    tau = np.concatenate(((t + 1) * dt - lengths / omegas, (t + 1) * dt - shift, t * dt - shift))
+    ends = interp_at(curves.reshape(2 * n, -1), tau, dt, np.concatenate((rows + n, opposite, opposite)))
+    reserved = np.zeros(k)
+    reserved[paired] = np.maximum(ends[k : k + len(paired)] - ends[k + len(paired):], 0.0)
+    return np.maximum(np.minimum(ends[:k] + storage - curves[0, rows, t], caps * dt), 0.0), reserved
 
 
 def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=None, cursor=None) -> np.ndarray:
@@ -88,13 +93,13 @@ def split_by_entry_order(U: np.ndarray, Ud: np.ndarray, r0, r1, t: int, rows=Non
     """
     r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
     rows = np.arange(U.shape[0]) if rows is None else np.asarray(rows)
-    start = int(cursor[rows].min()) if cursor is not None and rows.size else 0
+    start = int(np.minimum.reduce(cursor[rows])) if cursor is not None and rows.size else 0
     counts, b = _counts_up_to_rank(U, Ud, np.concatenate((r1, r0)), t, np.concatenate((rows, rows)), start)
     if cursor is not None:
         cursor[rows] = b[len(rows):]
     amount = r1 - r0
-    split = np.clip(counts[: len(rows)] - counts[len(rows):], 0.0, None)
-    total = split.sum(axis=1)
+    split = np.maximum(counts[: len(rows)] - counts[len(rows):], 0.0)
+    total = np.add.reduce(split, axis=1)
     ok = (amount > 0) & (total > 0)
     scale = amount / np.where(ok, total, 1.0)
     return np.where(ok[:, None], split * scale[:, None], 0.0)
@@ -129,7 +134,7 @@ def _rank_positions(head: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.
     On a nondecreasing row the samples below the rank are a prefix, so their
     count is the searchsorted position."""
     rank = np.minimum(rank, head[:, -1])
-    idx = (head < rank[:, None]).sum(axis=1)
+    idx = np.add.reduce(head < rank[:, None], axis=1)
     below = np.maximum(idx - 1, 0)
     rows = np.arange(head.shape[0])
     lo = head[rows, below]

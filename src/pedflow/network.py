@@ -370,8 +370,8 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
         lo = arrays.in_ptr[node]
         degree = arrays.in_ptr[node + 1] - lo
         # one entry per (label, incoming link): entry is the label's position in front
-        entry = np.repeat(np.arange(front.size), degree)
-        offset = np.repeat(lo - (np.cumsum(degree) - degree), degree)
+        entry = np.arange(front.size).repeat(degree)
+        offset = (lo - (degree.cumsum() - degree)).repeat(degree)
         arc = arrays.in_arcs[np.arange(entry.size) + offset]
         col = col[entry]
         cand = flat[front][entry] + costs[arc, bins[col]]
@@ -380,7 +380,7 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
         target = target[better]
         np.minimum.at(flat, target, cand[better])
         improved[target] = True
-        front = np.flatnonzero(improved)
+        front = improved.nonzero()[0]
         improved[front] = False
 
     # Tight links, one cost bin at a time: the first tight link of each node in

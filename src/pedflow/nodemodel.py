@@ -102,12 +102,12 @@ def solve_node(problem: NodeFlowProblem) -> NodeFlowSolution:
     S = problem.demands.reshape(math.prod(stack), n_in, n_out)  # one problem is a stack of one
     sizes = [(n_in, n_out)] * len(S) if problem.sizes is None else problem.sizes.reshape(-1, 2).tolist()
     available, clamped = available_supply(problem.supplies.reshape(-1, n_out), problem.counterflow.reshape(-1, n_out))
-    clamped = tuple(np.flatnonzero(clamped).tolist())
+    clamped = tuple(clamped.reshape(-1).nonzero()[0].tolist())
 
-    col_load = S.sum(axis=1)
-    scale = np.maximum(1.0, col_load.max(axis=1, initial=0.0))
-    congested = np.flatnonzero(~supply_fits(col_load, available, scale[:, None]).all(axis=1))
-    flows, reductions = S.copy(), np.ones((len(S), n_in))
+    col_load = np.add.reduce(S, axis=1)
+    scale = np.maximum(1.0, np.maximum.reduce(col_load, axis=1, initial=0.0))
+    congested = (~np.logical_and.reduce(supply_fits(col_load, available, scale[:, None]), axis=1)).nonzero()[0]
+    flows, reductions = S.copy(), np.zeros((len(S), n_in)) + 1.0
     flows[congested], reductions[congested] = _equal_priority_shares(S[congested], available[congested])
     beatable = _beatable(S[congested], available[congested], flows[congested], reductions[congested])
     for p in congested[beatable].tolist():
@@ -143,23 +143,23 @@ def _equal_priority_shares(S: np.ndarray, available: np.ndarray):
     supply it uses leaves room for.
     """
     uses = S > 0
-    theta = np.ones(S.shape[:2])
+    theta = np.zeros(S.shape[:2]) + 1.0
     remaining = available.copy()
-    started = active = uses.any(axis=2)
+    started = active = np.logical_or.reduce(uses, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):  # cells and columns no active link uses
-        while active.any():
+        while np.logical_or.reduce(active, axis=None):
             used = uses & active[:, :, None]
-            ratio = (remaining / used.sum(axis=1))[:, None, :] / S
-            cand = np.where(used, ratio, 1.0).min(axis=2, initial=1.0)  # in [0, 1]: no supply left is negative
+            ratio = (remaining / np.add.reduce(used, axis=1))[:, None, :] / S
+            cand = np.minimum.reduce(np.where(used, ratio, 1.0), axis=2, initial=1.0)  # in [0, 1]: supply left >= 0
             # the links whose demand fits whole, or else the most constrained ones
-            fit = np.where(active, cand, -np.inf).max(axis=1) >= 1.0 - 1e-15
-            t_min = np.where(active, cand, np.inf).min(axis=1)
+            fit = np.maximum.reduce(np.where(active, cand, -np.inf), axis=1) >= 1.0 - 1e-15
+            t_min = np.minimum.reduce(np.where(active, cand, np.inf), axis=1)
             pinned = active & np.where(fit[:, None], cand >= 1.0 - 1e-15, cand <= t_min[:, None] + 1e-15)
             theta = np.where(pinned, cand, theta)
             # pinned links take their flows from the supply left one after another, in row order
             taken = np.where(pinned[:, :, None], theta[:, :, None] * S, 0.0)
             remaining = np.subtract.reduce(np.concatenate((remaining[:, None], taken), axis=1), axis=1)
-            np.clip(remaining, 0.0, None, out=remaining)
+            np.maximum(remaining, 0.0, out=remaining)
             active = active & ~pinned
     return np.where(started[:, :, None], theta[:, :, None] * S, 0.0), theta
 
@@ -171,8 +171,8 @@ def _beatable(S: np.ndarray, available: np.ndarray, flows: np.ndarray, theta: np
     with the filled out-links priced at 1, makes the flows' total maximal."""
     finite = np.isfinite(available)
     a = np.where(finite, available, 0.0)  # no inf - inf on a sink's column
-    filled = finite & (flows.sum(axis=1) >= a - 1e-12 * np.maximum(1.0, a))
-    return ((theta < 1.0)[:, :, None] & (S > 0) & ~filled[:, None, :]).any(axis=(1, 2))
+    filled = finite & (np.add.reduce(flows, axis=1) >= a - 1e-12 * np.maximum(1.0, a))
+    return np.logical_or.reduce((theta < 1.0)[:, :, None] & (S > 0) & ~filled[:, None, :], axis=(1, 2))
 
 
 def _max_total_vertex(S: np.ndarray, available: np.ndarray):
@@ -227,18 +227,14 @@ def _max_total_vertex(S: np.ndarray, available: np.ndarray):
     return theta[:, None] * S, theta
 
 
-def _group(*keys):
-    """Number the distinct key tuples in np.lexsort order (the last key
-    major); returns each element's number and the first element of each
-    (its earliest, np.lexsort being stable)."""
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
+def _group(code):
+    """Number the distinct values of the int64 array code ascending; returns each
+    element's number and the first element of each (its earliest: the sort is stable)."""
+    order = code.argsort(kind="stable")
+    ranked = code[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))[: len(order)]
     number = np.empty(len(order), dtype=np.intp)
-    number[order] = np.cumsum(new) - 1
+    number[order] = new.cumsum() - 1
     return number, order[new]
 
 
@@ -252,12 +248,13 @@ class TurningFractions:
     group g is row g of group_keys, the distinct (dest, node, in_key) keys
     by in key, dest and node (`group` finds them), and its movements are
     rows first[g] to first[g] + count[g] of mass (movement, bin), out keys
-    ascending.  Each mass cell sums its contributions in their order; totals
-    (group, bin) sums each group's rows in the order their out keys first
-    appear.  Where no mass exists for an incoming link at some instant, the
-    split follows the destination's shortest-path successor in `trees`
-    (`network.Trees`), so residual pedestrians route wherever the
-    destination can be reached.
+    ascending, listed in table[g] padded with a zero row.  Each mass cell
+    sums its contributions in their order; totals (group, bin) sums each
+    group's rows in the order their out keys first appear; each cell's
+    fraction, mass over total, is divided here once.  Where no mass exists
+    for an incoming link at some instant, the split follows the
+    destination's shortest-path successor in `trees` (`network.Trees`), so
+    residual pedestrians route wherever the destination can be reached.
     """
 
     def __init__(self, n_bins: int, trees, movements=None):
@@ -266,18 +263,24 @@ class TurningFractions:
         if movements is None:
             movements = (np.zeros(0, dtype=int),) * 5 + (np.zeros(0),)
         dest, node, in_key, out_key, bins, mass = movements
-        group, key_at = _group(node, dest, in_key)
-        move, seen = _group(out_key, group)  # seen: each movement's first contribution
-        self.group_keys = np.column_stack((dest[key_at], node[key_at], in_key[key_at]))
         self.n_nodes = trees.dist.shape[1]
+        group, key_at = _group(self._code(dest, node, in_key))
+        move, seen = _group(group * (out_key.max(initial=0) - SINK + 1) + (out_key - SINK))  # seen: first contributions
+        self.group_keys = np.column_stack((dest[key_at], node[key_at], in_key[key_at]))
         self.codes = np.append(self._code(*self.group_keys.T), np.iinfo(np.int64).max)  # ascending, as the groups
         self.count = np.bincount(group[seen], minlength=len(key_at))
         self.first = np.cumsum(self.count) - self.count
         self.out_key = out_key[seen]
-        self.mass = np.bincount(move * n_bins + bins, mass, len(seen) * n_bins).reshape(-1, n_bins)
+        self._mass = np.bincount(move * n_bins + bins, mass, (len(seen) + 1) * n_bins).reshape(-1, n_bins)
+        self.mass = self._mass[:-1]  # the last row, zero, pads table
         self.totals = np.zeros((len(key_at), n_bins))
         by_seen = np.argsort(seen)
         np.add.at(self.totals, group[seen[by_seen]], self.mass[by_seen])
+        self._frac = np.zeros(self._mass.shape)  # divided in place: no more temporaries than the divisor
+        with np.errstate(divide="ignore", invalid="ignore"):  # bins where a group has no mass, never read
+            np.divide(self.mass, self.totals[group[seen]], out=self._frac[:-1])
+        slots = np.arange(self.count.max(initial=0))
+        self.table = np.where(slots < self.count[:, None], self.first[:, None] + slots, len(seen))
         # per destination and bin, the tree column of the latest tree bin at or
         # before it (its first tree before that); row tree_row[dest] (-1: no tree) of tree_cols
         tree_dests = sorted(set(trees.dest_nodes.tolist()))
@@ -297,8 +300,9 @@ class TurningFractions:
     def group(self, dests, nodes, in_keys) -> np.ndarray:
         """The group of each (dest, node, in key), -1 where it has no movements."""
         code = self._code(*(np.asarray(a, dtype=np.int64) for a in (dests, nodes, in_keys)))
-        at = np.searchsorted(self.codes, code)
-        return np.where(self.codes[at] == code, at, -1)
+        at = self.codes.searchsorted(code)
+        at[self.codes[at] != code] = -1
+        return at
 
     def _code(self, dests, nodes, in_keys) -> np.ndarray:
         """(dest, node, in key) as one int64, ordered by in key, then dest, then node, as the groups."""
@@ -317,34 +321,30 @@ class TurningFractions:
         be reached from the node (or has no tree column).
         """
         t = min(t_idx, self.n_bins - 1)
-        dests, nodes, in_keys = (np.asarray(a, dtype=int) for a in (dests, nodes, in_keys))
+        dests, nodes, in_keys = (np.asarray(a, dtype=np.int64) for a in (dests, nodes, in_keys))
         group = self.group(dests, nodes, in_keys)
-        sinks = np.flatnonzero(dests == nodes)
+        sinks = (dests == nodes).nonzero()[0]
         group[sinks] = -1
 
         # queries with movement mass at t: every movement of the group with mass, over the group total
-        routed = np.flatnonzero(group >= 0)
-        total = self.totals[group[routed], t]
-        routed, total = routed[total > 1e-15], total[total > 1e-15]
-        first, count = self.first[group[routed]], self.count[group[routed]]
-        moves = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-        mass = self.mass[moves, t]
-        moved = mass > 0
-        by_mass, keys = np.repeat(routed, count)[moved], self.out_key[moves[moved]]
-        fracs = (mass / np.repeat(total, count))[moved]
+        routed = (group >= 0).nonzero()[0]
+        routed = routed[self.totals[group[routed], t] > 1e-15]
+        moves = self.table[group[routed]]
+        moved = self._mass[moves, t] > 0
+        by_mass, moves = routed[moved.nonzero()[0]], moves[moved]
 
         # the rest follow the successor in their destination's tree column at t, where there is one
-        rest = np.ones(len(dests), dtype=bool)
+        rest = self.tree_row[dests] >= 0
         rest[sinks] = False
         rest[routed] = False
-        rest = np.flatnonzero(rest & (self.tree_row[dests] >= 0))
+        rest = rest.nonzero()[0]
         succ = self.trees.succ[self.tree_cols[self.tree_row[dests[rest]], t], nodes[rest]]
         rest, succ = rest[succ >= 0], succ[succ >= 0]
 
-        query = np.concatenate((sinks, by_mass, rest))
-        order = np.argsort(query, kind="stable")
-        out_keys = np.concatenate((np.full(len(sinks), SINK), keys, succ))
-        fracs = np.concatenate((np.ones(len(sinks)), fracs, np.ones(len(rest))))
+        query = np.concatenate((by_mass, sinks, rest))  # sinks and rest: one entry each, with fraction 1
+        order = query.argsort(kind="stable")
+        out_keys = np.concatenate((self.out_key[moves], np.zeros(len(sinks), dtype=np.int64) + SINK, succ))
+        fracs = np.concatenate((self._frac[moves, t], np.zeros(len(sinks) + len(rest)) + 1.0))
         return query[order], out_keys[order], fracs[order]
 
 

@@ -470,6 +470,60 @@ class TestQuietStepParity:
         run_due(net, demand, cfg, loader=both)
 
 
+@st.composite
+def long_link_assignments(draw):
+    """A 2- to 4-segment corridor of 30-m segments with 1 or 2 OD pairs, each
+    released over bins 0-2 at up to 2 ped/s.  A walker needs 20 s per
+    segment, so on many steps links hold people while nobody reaches a link
+    end and nobody is queued."""
+    segments = draw(st.integers(2, 4))
+    nodes = st.integers(1, segments + 1)
+    ods = draw(st.lists(st.tuples(nodes, nodes).filter(lambda od: od[0] != od[1]), min_size=1, max_size=2,
+                        unique=True))
+    demand = DemandProfile()
+    for origin, dest in ods:
+        for k in range(draw(st.integers(1, 3))):
+            demand.add(origin, dest, float(k), draw(st.floats(0.1, 2.0)))
+    net = make_corridor_network(segments, length=30.0, origins={o for o, _ in ods},
+                                destinations={d for _, d in ods})
+    variant, gamma = draw(st.sampled_from((("logistic", None), ("power", 0.5), ("power", 2.0))))
+    cfg = ScenarioConfig(dt=1.0, horizon=150.0, max_iters=2, fd_variant=variant, fd_gamma=gamma, node_trace=True)
+    return net, demand, cfg
+
+
+class TestNobodyLeavesParity:
+    @settings(max_examples=25, deadline=None)
+    @given(long_link_assignments())
+    def test_steps_without_senders_match_the_per_node_loader(self, case):
+        """Steps where links hold people but nobody can leave a link or a
+        queue give the per-node loader's curves, node trace, unroutable and
+        queued persons bit for bit; the loader skips the fraction lookup on at
+        least one of them."""
+        net, demand, cfg = case
+        options = dict(fd_variant=cfg.fd_variant, fd_gamma=cfg.fd_gamma, node_trace=True)
+        skipped = []
+
+        def both(network, grid, demand, fractions, state):
+            asked, lookup = set(), fractions.fractions
+            fractions.fractions = lambda *query: asked.add(query[-1]) or lookup(*query)
+            got = load_flows(network, grid, demand, fractions, **options)
+            del fractions.fractions
+            want = reference_load_network(network, grid, demand, fractions, **options)
+            for name in ("U", "V", "Ud", "Vd", "completed", "loaded", "queued"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.unroutable == want.unroutable
+            nodes, order = network.arrays.nodes, network.arrays.order
+            in_ids = [(nodes[node], t, ORIGIN if in_key == ORIGIN else order[in_key],
+                       SINK if out_key == SINK else order[out_key], *flows)
+                      for node, t, in_key, out_key, *flows in got.node_trace]
+            assert in_ids == want.node_trace
+            skipped.extend(t for t in range(grid.n_bins) if (got.U[:, t] - got.V[:, t] > 1e-9).any() and t not in asked)
+            return got
+
+        run_due(net, demand, cfg, loader=both)
+        assert skipped
+
+
 class TestRouteTimeParity:
     @settings(max_examples=60, deadline=None)
     @given(congested_assignments(), st.integers(6, 25))

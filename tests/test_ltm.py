@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from pedflow.ltm import (
     _rank_positions,
+    counterflow_at,
     crossing_times,
     interp_at,
     receiving_flows_at,
     sending_flows_at,
     split_by_entry_order,
+    supplies_at,
 )
 from pedflow.network import Link
 from reference_route_times import _rank_position
@@ -120,6 +122,66 @@ class TestReceivingFlow:
         link = make_link()
         curves = Curves(10)
         assert receiving(link, curves, 0, k_jam=5.0) == pytest.approx(10.0)
+
+
+def scalar_interp(row, tau, dt):
+    """interp_at on one row and one instant, in Python floats."""
+    b = min(max(tau / dt, 0.0), len(row) - 1.0)
+    i = min(int(b), len(row) - 2)
+    return row[i] * (1.0 - (b - i)) + row[i + 1] * (b - i)
+
+
+@st.composite
+def stacked_curves(draw):
+    """U stacked over V for 2-8 links on a 1- to 6-bin grid, some rows never
+    entered (all zero); a twin pairing with one-way links (-1); lengths and
+    speeds that look back before t = 0 as well as between samples; and the
+    rows a step asks for, in any order."""
+    n, n_bins = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    steps = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=n_bins, max_size=n_bins)
+    curves = np.zeros((2, n, n_bins + 1))
+    for side in (0, 1):
+        for row in range(n):
+            if draw(st.booleans()):
+                curves[side, row, 1:] = np.cumsum(draw(steps))
+    twin = np.full(n, -1)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if a != b and twin[a] < 0 and twin[b] < 0:
+            twin[a], twin[b] = b, a
+    per_link = st.lists(st.floats(0.1, 12.0), min_size=n, max_size=n).map(np.array)
+    lengths, omegas, v_f, vhat, storage, caps = (draw(per_link) for _ in range(6))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.intp)
+    t, dt = draw(st.integers(0, n_bins - 1)), draw(st.sampled_from((0.5, 1.0, 2.0)))
+    return curves, twin, lengths, omegas, v_f, vhat, storage, caps, rows, t, dt
+
+
+class TestLookbackGather:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_curves())
+    def test_gather_reproduces_the_link_kernels(self, case):
+        """The step's lookbacks on the stacked curves (sending_flows_at on the
+        views, supplies_at's one gather for the receiving flows and the
+        reservations) give sending_flows_at, receiving_flows_at and
+        counterflow_at on separate curves of every link, bit for bit, and the
+        kinematic-wave formulas row by row."""
+        curves, twin, lengths, omegas, v_f, vhat, storage, caps, rows, t, dt = case
+        U, V = curves[0].copy(), curves[1].copy()
+        sending = sending_flows_at(curves[0], curves[1], t, dt, lengths[rows], vhat[rows], caps[rows], rows)
+        receiving, reserved = supplies_at(curves, t, dt, rows, lengths[rows], omegas[rows], storage[rows],
+                                          caps[rows], twin, v_f)
+        assert sending.tobytes() == sending_flows_at(U, V, t, dt, lengths, vhat, caps)[rows].tobytes()
+        assert receiving.tobytes() == receiving_flows_at(V, U, t, dt, lengths, omegas, storage, caps)[rows].tobytes()
+        assert reserved.tobytes() == counterflow_at(U, t, dt, twin, lengths, v_f)[rows].tobytes()
+        for i, row in enumerate(rows.tolist()):
+            ahead = scalar_interp(U[row], (t + 1) * dt - lengths[row] / vhat[row], dt) - V[row, t]
+            assert sending[i] == max(min(ahead, caps[row] * dt), 0.0)
+            room = scalar_interp(V[row], (t + 1) * dt - lengths[row] / omegas[row], dt) + storage[row] - U[row, t]
+            assert receiving[i] == max(min(room, caps[row] * dt), 0.0)
+            opp = twin[row]
+            shift = 0.0 if opp < 0 else lengths[row] / v_f[opp]
+            oncoming = 0.0 if opp < 0 else max(scalar_interp(U[opp], (t + 1) * dt - shift, dt)
+                                               - scalar_interp(U[opp], t * dt - shift, dt), 0.0)
+            assert reserved[i] == oncoming
 
 
 def split_one(U, Ud, r0, r1, t):
