@@ -33,45 +33,36 @@ GRID_PRESETS = (1, 2, 3)
 CORRIDOR_PRESETS = (4, 5, 6)
 
 
-def _paired_links(segments, length: float) -> list[Link]:
-    """Two paired links per (from node, to node, width) segment, numbered 1, 2, 3, ... in segment order."""
-    links = []
-    for i, (a, b, width) in enumerate(segments):
-        cap = default_capacity(width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA)
-        links.append(Link(2 * i + 1, a, b, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, 2 * i + 2))
-        links.append(Link(2 * i + 2, b, a, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, 2 * i + 1))
-    return links
-
-
-def _kind(nid: int, origins, destinations) -> str:
-    if nid in origins:
-        return "origin-centroid"
-    return "destination-centroid" if nid in destinations else "plain"
+def _lattice(rows: int, cols: int, length: float, widths: list[float], origins, destinations) -> Network:
+    """rows x cols nodes numbered row-major from 1, `length` apart, joined by two paired links per segment
+    (each node's segment to the east, then to the south), numbered 1, 2, 3, ... in segment order; segment i
+    is widths[i] wide."""
+    nodes, links = [], []
+    for nid in range(1, rows * cols + 1):
+        row, col = divmod(nid - 1, cols)
+        kind = "origin-centroid" if nid in origins else "destination-centroid" if nid in destinations else "plain"
+        nodes.append(Node(nid, x=col * length, y=-row * length, kind=kind))
+        for end, exists in ((nid + 1, col < cols - 1), (nid + cols, row < rows - 1)):
+            if exists:
+                i, width = len(links), widths[len(links) // 2]
+                cap = default_capacity(width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA)
+                links += (Link(i + 1, nid, end, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, i + 2),
+                          Link(i + 2, end, nid, length, width, DEFAULT_V_F, DEFAULT_K_JAM, DEFAULT_OMEGA, cap, i + 1))
+    return Network(nodes, links)
 
 
 def make_grid_network(n: int = 3, length: float = DEFAULT_LENGTH, width: float = DEFAULT_WIDTH,
                       origins=(), destinations=()) -> Network:
     """n x n lattice of bidirectional sidewalk segments, nodes numbered row-major from 1."""
-    nodes = [Node(row * n + col + 1, x=col * length, y=-row * length,
-                  kind=_kind(row * n + col + 1, origins, destinations))
-             for row in range(n) for col in range(n)]
-    segments = []
-    for nid in range(1, n * n + 1):  # row-major, each node's segment to the east, then to the south
-        if nid % n:
-            segments.append((nid, nid + 1, width))
-        if nid <= n * n - n:
-            segments.append((nid, nid + n, width))
-    return Network(nodes, _paired_links(segments, length))
+    return _lattice(n, n, length, [width] * (2 * n * (n - 1)), origins, destinations)  # 2n(n - 1) segments
 
 
 def make_corridor_network(segments: int = 9, length: float = DEFAULT_LENGTH,
                           width: float = DEFAULT_WIDTH, bottleneck_segment: int | None = None,
                           bottleneck_width: float = 1.0, origins=(), destinations=()) -> Network:
-    """Straight chain of bidirectional segments, nodes numbered 1..segments+1."""
-    nodes = [Node(i + 1, x=i * length, y=0.0, kind=_kind(i + 1, origins, destinations))
-             for i in range(segments + 1)]
+    """Straight chain of bidirectional segments, nodes numbered 1..segments+1: a one-row lattice."""
     widths = [bottleneck_width if i == bottleneck_segment else width for i in range(segments)]
-    return Network(nodes, _paired_links([(i + 1, i + 2, w) for i, w in enumerate(widths)], length))
+    return _lattice(1, segments + 1, length, widths, origins, destinations)
 
 
 def trapezoid_profile(ramp_start: float, peak_start: float, peak: float,
@@ -90,14 +81,15 @@ def trapezoid_profile(ramp_start: float, peak_start: float, peak: float,
     return rate
 
 
-def sample_demand(demand: DemandProfile, origin: int, destination: int, rate_fn,
-                  grid_dt: float, horizon: float) -> None:
-    n_bins = int(round(horizon / grid_dt))
-    for k in range(n_bins):
-        t = k * grid_dt
-        r = rate_fn(t)
-        if r > 1e-12:
-            demand.add(origin, destination, t, r)
+def _preset(network: Network, streams, horizon: float, penalties=()):
+    """A preset's (network, demand, config): each (origin, destination, trapezoid) stream sampled at 1 s."""
+    demand = DemandProfile()
+    for origin, destination, trapezoid in streams:
+        rate = trapezoid_profile(*trapezoid)
+        for t in map(float, range(int(round(horizon)))):
+            if (r := rate(t)) > 1e-12:
+                demand.add(origin, destination, t, r)
+    return network, demand, ScenarioConfig(dt=1.0, horizon=horizon, pvdf=PRESET_PVDF, penalties=penalties)
 
 
 def generate_grid_scenario(n: int = 3, preset: int = 1):
@@ -110,22 +102,10 @@ def generate_grid_scenario(n: int = 3, preset: int = 1):
         raise ValueError(f"grid preset must be one of {GRID_PRESETS}, got {preset}")
     if n != 3 and preset != 1:
         raise ValueError("presets 2 and 3 are defined on the 3x3 grid")
-    corner = n * n
-    origins, destinations = {1}, {corner}
-    if preset == 2:
-        origins.add(8)
-        destinations.add(4)
-    network = make_grid_network(n, origins=origins, destinations=destinations)
-    demand = DemandProfile()
-    main = trapezoid_profile(1.0, 8.0, 6.0, 42.0, 45.0)
-    sample_demand(demand, 1, corner, main, 1.0, 120.0)
-    if preset == 2:
-        sample_demand(demand, 8, 4, trapezoid_profile(1.0, 8.0, 6.0, 42.0, 45.0), 1.0, 120.0)
-    penalties = ()
-    if preset == 3:
-        penalties = (LinkPenalty(link_ref="4-7", start_s=20.0, added_cost_s=1e4),)
-    cfg = ScenarioConfig(dt=1.0, horizon=120.0, pvdf=PRESET_PVDF, penalties=penalties)
-    return network, demand, cfg
+    ods = [(1, n * n)] + [(8, 4)] * (preset == 2)
+    network = make_grid_network(n, origins={o for o, _ in ods}, destinations={d for _, d in ods})
+    penalties = (LinkPenalty(link_ref="4-7", start_s=20.0, added_cost_s=1e4),) if preset == 3 else ()
+    return _preset(network, [(o, d, (1.0, 8.0, 6.0, 42.0, 45.0)) for o, d in ods], 120.0, penalties)
 
 
 def generate_corridor_scenario(segments: int = 9, preset: int = 4, bottleneck_width: float = 1.0):
@@ -140,19 +120,11 @@ def generate_corridor_scenario(segments: int = 9, preset: int = 4, bottleneck_wi
         raise ValueError("a corridor needs at least 2 segments")
     last = segments + 1
     horizon = 200.0 if preset == 4 else 240.0
-    network = make_corridor_network(
-        segments,
-        bottleneck_segment=segments - 1 if preset == 4 else None,
-        bottleneck_width=bottleneck_width,
-        origins={1}, destinations={last},
-    )
+    network = make_corridor_network(segments, bottleneck_segment=segments - 1 if preset == 4 else None,
+                                    bottleneck_width=bottleneck_width, origins={1}, destinations={last})
     # Presets 5 and 6 also source demand at the far end; the kind labels mark
     # each end's primary role and any centroid may source or sink demand.
-    demand = DemandProfile()
-    major = trapezoid_profile(1.0, 4.0, 4.0, 80.0, 83.0)
-    sample_demand(demand, 1, last, major, 1.0, horizon)
+    streams = [(1, last, (1.0, 4.0, 4.0, 80.0, 83.0))]
     if preset in (5, 6):  # unbalanced (a 2 ped/s plateau) or balanced
-        minor = trapezoid_profile(1.0, 4.0, 2.0 if preset == 5 else 4.0, 50.0, 53.0)
-        sample_demand(demand, last, 1, minor, 1.0, horizon)
-    cfg = ScenarioConfig(dt=1.0, horizon=horizon, pvdf=PRESET_PVDF)
-    return network, demand, cfg
+        streams.append((last, 1, (1.0, 4.0, 2.0 if preset == 5 else 4.0, 50.0, 53.0)))
+    return _preset(network, streams, horizon)

@@ -11,8 +11,8 @@ from pedflow.config import LinkPenalty, ScenarioConfig
 from pedflow.fd import FDParams, FDState, density_ratio, effective_speed, effective_speed_profile
 from pedflow.loading import load_network as load_flows
 from pedflow.ltm import _counts_up_to_rank
-from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
-from pedflow.nodemodel import ORIGIN, SINK, paths_to_turning_fractions
+from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, Trees, default_capacity
+from pedflow.nodemodel import ORIGIN, SINK, TurningFractions, paths_to_turning_fractions
 from pedflow.pvdf import experienced_route_times
 from pedflow.scenarios import DEFAULT_WIDTH, generate_corridor_scenario, make_corridor_network, make_grid_network
 import reference_route_times
@@ -211,6 +211,53 @@ class TestPowerVariantFloatNoise:
         result = run_due(net, demand, cfg)[0].loading
         assert result.conservation_violations() == []
         assert np.isfinite(result.U).all() and np.isfinite(result.V).all()
+
+
+class TestStuckMass:
+    def test_a_person_without_a_turning_fraction_stops_the_loading(self):
+        # hand-built fractions: the mass at node 2 sits in bin 0, before the
+        # person walking 1 -> 3 arrives, and the tree gives no successor, so
+        # nothing routes them on from link 1
+        net = make_corridor_network(2, origins={1}, destinations={3})
+        pos, row = net.arrays.node_index, net.arrays.index
+        grid = TimeGrid(1.0, 20.0)
+        demand = DemandProfile()
+        demand.add(1, 3, 0.0, 1.0)
+        succ = np.full((1, len(net.nodes)), -1)
+        trees = Trees(np.array([0]), np.array([3]), np.zeros(succ.shape), succ, np.array([pos[3]]))
+        movements = (np.full(2, pos[3]), np.array([pos[1], pos[2]]), np.array([ORIGIN, row[1]]),
+                     np.array([row[1], row[3]]), np.zeros(2, dtype=int), np.ones(2))
+        with pytest.raises(RuntimeError, match=r"on link 1 reach node 2 with no turning fraction toward "
+                                               r"destination 3"):
+            load_flows(net, grid, demand, TurningFractions(grid.n_bins, trees, movements))
+
+
+class TestConservationTolerance:
+    def test_curve_checks_scale_with_the_trips_loaded(self):
+        """Preset 4 with its widths and demand scaled by 2**22 (1.3e9 trips)
+        holds no breach.  A dip of 1e-14 of the trips, float noise at that
+        scale, in a curve's last sample is none either; a dip of 1e-5 of them
+        is, and it unbalances the trips too."""
+        scale = 2.0 ** 22
+        preset, demand, cfg = generate_corridor_scenario(preset=4)
+        net = make_corridor_network(9, width=DEFAULT_WIDTH * scale, bottleneck_segment=8,
+                                    bottleneck_width=preset.link_between(9, 10).width * scale,
+                                    origins={1}, destinations={10})
+        scaled = DemandProfile()
+        for e in demand.entries:
+            scaled.add(e.origin, e.destination, e.depart_s, e.rate * scale)
+        result = run_due(net, scaled, cfg)[0].loading
+        trips = result.loaded.sum()
+        assert trips > 1e9 and result.conservation_violations() == []
+        busiest = int(np.argmax(result.U[:, -1]))
+        real = ["a cumulative curve decreases", "negative occupancy (exits overtook entries)",
+                "loaded trips do not match completed + still-walking trips"]
+        for dip, breaches in ((1e-14 * trips, []), (1e-5 * trips, real)):
+            for curve in (result.U, result.Ud[:, 0]):
+                curve[busiest, -1] -= dip
+            assert result.conservation_violations() == breaches
+            for curve in (result.U, result.Ud[:, 0]):
+                curve[busiest, -1] += dip
 
 
 class TestEffectiveStorage:

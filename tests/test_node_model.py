@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_fractions
@@ -21,17 +21,20 @@ from pedflow.nodemodel import (
 from pedflow.scenarios import make_corridor_network, make_grid_network
 
 
-def brute_force_max_total(S, available):
+def brute_force_max_total(S, available, maximal=False):
     """Independent oracle: enumerate every vertex of the reduction-factor
     polytope {0 <= theta <= 1, sum_i theta_i S_ij <= available_j} and return
     the maximal total transfer.  A vertex feasible within 1e-9 is clipped to
     [0, 1] and each in-link scaled under the supplies it overfills before its
-    total counts, so the result never exceeds the maximum beyond rounding."""
+    total counts, so the result never exceeds the maximum beyond rounding.
+    With maximal=True, returns (the maximal total, the vertices whose total
+    is within 1e-9 of max(1, it)), each vertex one theta per in-link, zero
+    where the in-link has no demand."""
     n_in, n_out = S.shape
     act = [i for i in range(n_in) if S[i].sum() > 0]
     n = len(act)
     if n == 0:
-        return 0.0
+        return (0.0, [np.zeros(n_in)]) if maximal else 0.0
     row_tot = S.sum(axis=1)[act]
     rows, rhs = [], []
     for p in range(n):
@@ -46,7 +49,7 @@ def brute_force_max_total(S, available):
         rhs.append(available[j])
     rows = np.array(rows)
     rhs = np.array(rhs)
-    best = 0.0
+    vertices = [(0.0, np.zeros(n_in))]  # (total, theta per in-link)
     for combo in itertools.combinations(range(len(rows)), n):
         A = rows[list(combo)]
         b = rhs[list(combo)]
@@ -60,8 +63,13 @@ def brute_force_max_total(S, available):
             load = S[act].T @ theta
             over = load > available
             theta *= np.where(S[act][:, over] > 0, available[over] / load[over], 1.0).min(axis=1, initial=1.0)
-            best = max(best, float(row_tot @ theta))
-    return best
+            full = np.zeros(n_in)
+            full[act] = theta
+            vertices.append((float(row_tot @ theta), full))
+    best = max(total for total, _ in vertices)
+    if not maximal:
+        return best
+    return best, [theta for total, theta in vertices if total >= best - 1e-9 * max(1.0, best)]
 
 
 class TestWorkedIntersection:
@@ -244,6 +252,27 @@ def assert_screen_keeps_the_maximum(S, available, fair=None, theta=None, beatabl
         assert abs(fair.sum() - best) <= 1e-12 * max(1.0, best)
     if best - fair.sum() > 1e-9 * max(1.0, best):
         assert beatable
+
+
+class TestMaximalFace:
+    @pytest.mark.xfail(strict=True, reason="the equal-priority shares and the simplex vertex can give an "
+                       "active in-link nothing where another maximal transfer feeds it; the explicit example "
+                       "is test_maximal_transfer_starves_no_in_link's node")
+    @settings(max_examples=300, deadline=None)
+    @given(node_problems())
+    @example(NodeFlowProblem(np.array([[0.77, 0.0], [1.524, 0.0], [0.266, 0.0], [0.79, 1.58]]),
+                             np.array([2.346, 0.815])))
+    def test_no_in_link_starves_where_a_maximal_transfer_feeds_it(self, problem):
+        """Where every active in-link has theta > 0 at some maximal vertex (not
+        necessarily the same one), the average of those vertices is a maximal
+        transfer that starves no one, and solve_node gives every active
+        in-link theta > 0."""
+        S = problem.demands
+        available, _ = nodemodel.available_supply(problem.supplies, problem.counterflow)
+        _, vertices = brute_force_max_total(S, np.minimum(available, 1e6), maximal=True)  # a sink never binds
+        active = S.sum(axis=1) > 0
+        if (np.array(vertices) > 1e-9).any(axis=0)[active].all():
+            assert (solve_node(problem).reductions[active] > 0).all()
 
 
 class TestSolverParity:

@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
-from pedflow.network import validate_demand, validate_network, TimeGrid
+from pedflow.config import write_config
+from pedflow.network import validate_demand, validate_network, write_demand, write_network, TimeGrid
 from pedflow.scenarios import (
     generate_corridor_scenario,
     generate_grid_scenario,
+    make_corridor_network,
     make_grid_network,
     trapezoid_profile,
 )
@@ -119,3 +123,59 @@ class TestTrapezoidProfile:
         assert rate(81.5) == pytest.approx(2.0)
         assert rate(83.0) == 0.0
         assert rate(200.0) == 0.0
+
+
+def corners(n):
+    return {1, n, n * n - n + 1, n * n}
+
+
+# Builder calls that no preset pin covers, each giving (network[, demand, config]);
+# the grids carry corner centroids as the benchmark's workloads set them.
+BUILDS = {
+    "generate_grid_scenario(n=5)": lambda: generate_grid_scenario(n=5),
+    "generate_corridor_scenario(segments=5, bottleneck_width=2.5)":
+        lambda: generate_corridor_scenario(segments=5, bottleneck_width=2.5),
+    "make_grid_network(1)": lambda: (make_grid_network(1, origins=corners(1)),),
+    "make_grid_network(2)": lambda: (make_grid_network(2, origins=corners(2)),),
+    "make_grid_network(20)": lambda: (make_grid_network(20, origins=corners(20)),),
+    "make_grid_network(50)": lambda: (make_grid_network(50, origins={1, 2500}),),
+    "make_corridor_network(5, bottleneck_segment=2)":
+        lambda: (make_corridor_network(5, bottleneck_segment=2, origins={1}, destinations={6}),),
+    "make_corridor_network(1)": lambda: (make_corridor_network(1),),
+}
+
+BUILT_SHA256 = {
+    "generate_grid_scenario(n=5)": {
+        "network.net": "48845e2100d02b8d9149140df656ff50edaea8c0144913e9e21c69b497ca8768",
+        "demand.dem": "ef374615f15294d197a3c9ce2a8416aeb2022876279c13479beecd777825cb37",
+        "config.cfg": "ad7afc902fc468953d002c29a9f1835b5450e0a30b1f084082bf660ec9a3b5a5",
+    },
+    "generate_corridor_scenario(segments=5, bottleneck_width=2.5)": {
+        "network.net": "eec621cd6d5bb3523ea124162ee9d44fc09f84efbd1a887fc84a21cd19ba0877",
+        "demand.dem": "3f1642184bbb33fa7ced6f6f412e1554bfe48e87012b8a930f8f317f32a9cbe9",
+        "config.cfg": "cf3a18dfc088058a38e1789366c197fcfa9aba5967d6230b0ac18b8f81948bf5",
+    },
+    "make_grid_network(1)": {"network.net": "ffd78f6962721d1ea9f8ead7adc4ad09f8676ad0ba582b56788c45d6ba425a80"},
+    "make_grid_network(2)": {"network.net": "f55f6c2321da0a52a9275d5f9a28d72fd4e3d0cf06ff61825d0762d71a8afff5"},
+    "make_grid_network(20)": {"network.net": "29ba6fb407bdd222090ea97fd2fecee00888f816c40e9b93c0a45d1266136814"},
+    "make_grid_network(50)": {"network.net": "5f19efde58306edfb22cb4248ae08a368462ab03f9c94d3b9501fc6869f4c306"},
+    "make_corridor_network(5, bottleneck_segment=2)": {
+        "network.net": "e412b0d36ae4a07fdc2b9c93f429aad07133e5ca72f6338f70b4a04297ee5da6",
+    },
+    "make_corridor_network(1)": {"network.net": "3d2cc8f94fa27b88ada4022fca3b59635dfb3e28589c36897532d2ba260b1745"},
+}
+
+
+@pytest.mark.parametrize("call", sorted(BUILDS))
+def test_built_files_are_byte_identical(call, tmp_path):
+    """The files written from each builder call hash as recorded, and nodes
+    and links are held in ascending id order, as they were built."""
+    built = BUILDS[call]()
+    digests = {}
+    for obj, write, name in zip(built, (write_network, write_demand, write_config),
+                                ("network.net", "demand.dem", "config.cfg")):
+        write(obj, tmp_path / name)
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == BUILT_SHA256[call]
+    net = built[0]
+    assert list(net.nodes) == sorted(net.nodes) and list(net.links) == sorted(net.links)
