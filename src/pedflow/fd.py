@@ -99,12 +99,8 @@ def effective_speed(params: FDParams, rho: float) -> float:
     """
     _check_ratio(rho)
     if params.variant == "power" and rho == 0.0 and params.gamma == 0.0:
-        warnings.warn(
-            "power-law effective speed at rho=0 with gamma=0 is the 0**0 corner; "
-            "using v_f by convention",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn("power-law effective speed at rho=0 with gamma=0 is the 0**0 corner; using v_f by convention",
+                      RuntimeWarning, stacklevel=2)
     return float(effective_speed_profile(params.v_f, rho, params.variant, params.gamma))
 
 
@@ -161,12 +157,8 @@ def density_ratio_profile(k: np.ndarray, twin: np.ndarray, rows=None) -> np.ndar
     return np.where(total > 0, own / np.where(total > 0, total, 1.0), 1.0)
 
 
-def effective_speed_profile(
-    v_f: np.ndarray | float,
-    rho: np.ndarray,
-    variant: str = "logistic",
-    gamma: float | None = None,
-) -> np.ndarray:
+def effective_speed_profile(v_f: np.ndarray | float, rho: np.ndarray, variant: str = "logistic",
+                            gamma: float | None = None) -> np.ndarray:
     """Vectorized effective speed for per-link free-flow speeds and ratios.
 
     A ratio a few ulp below zero (an occupancy that float noise left just

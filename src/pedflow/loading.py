@@ -141,7 +141,7 @@ def load_network(
     reserved supply go to `solve_node`, one zero-padded stack per step.  A
     step where nobody can leave a link or a queue stops after the sending
     bounds, and one with nobody on a link or queued runs none of this.
-    A person who walks into a node with no turning fraction on raises RuntimeError.
+    A person who walks into a node, or waits at an origin, with no turning fraction on raises RuntimeError.
     """
     destinations = demand.destinations()
     n_dest = len(destinations)
@@ -224,12 +224,13 @@ def load_network(
         m_snd, m_d = (persons > EPS).nonzero()
         p = persons[m_snd, m_d]
         query, m_key, frac = fractions.fractions(dest_nodes[m_d], snd_node[m_snd], snd_key[m_snd], t)
-        stuck = snd_key[m_snd] != ORIGIN  # queued persons stay queued, not lost
+        stuck = np.ones(len(p), dtype=bool)
         stuck[query] = False
         if stuck.any():
             snd, dest = m_snd[stuck][0], destinations[m_d[stuck][0]]
-            raise RuntimeError(f"persons on link {arrays.order[snd_key[snd]]} reach node {arrays.nodes[snd_node[snd]]} "
-                               f"with no turning fraction toward destination {dest}")
+            key, node = snd_key[snd], arrays.nodes[snd_node[snd]]
+            where = f"queued at origin {node}" if key == ORIGIN else f"on link {arrays.order[key]} reach node {node}"
+            raise RuntimeError(f"persons {where} with no turning fraction toward destination {dest}")
         moved = frac > 0
         query, m_key = query[moved], m_key[moved]
         m_snd, m_d, mass = m_snd[query], m_d[query], p[query] * frac[moved]

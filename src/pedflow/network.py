@@ -317,7 +317,6 @@ def validate_demand(network: Network, demand: DemandProfile, grid: TimeGrid | No
     return violations
 
 
-@dataclass(frozen=True)
 class Trees:
     """Shortest-path trees, one column per (cost bin, destination) pair.
 
@@ -326,40 +325,49 @@ class Trees:
     per node position.  dist is the minimal route time, inf where the
     destination cannot be reached; succ is the first link's row on the
     cheapest route, -1 at the destination and where it cannot be reached.
+    succ may be given as a function of no arguments, called on its first read.
     """
 
-    bins: np.ndarray
-    destinations: np.ndarray
-    dist: np.ndarray
-    succ: np.ndarray
-    dest_nodes: np.ndarray
+    def __init__(self, bins, destinations, dist, succ, dest_nodes):
+        self.bins, self.destinations, self.dist, self.dest_nodes = bins, destinations, dist, dest_nodes
+        self._succ = succ
+
+    @property
+    def succ(self) -> np.ndarray:
+        self._succ = self._succ() if callable(self._succ) else self._succ
+        return self._succ
 
 
 def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> Trees:
     """Trees toward destinations[c] under the costs costs[:, bins[c]], every column in one call.
 
-    costs has one row per link in sorted link id order; the bins used must
-    hold nonnegative costs (ValueError otherwise).  Every label is the exact
-    fixed point dist[u] = min over links u->v of cost + dist[v].  A node's
-    successor is, among its links within 1e-9 (relative) of that minimum, the
-    one with the smallest next node id, then the smallest link id, so the
-    implied paths are lexicographically smallest.
+    costs has one row per link in sorted link id order; the bins used must hold nonnegative costs
+    (ValueError otherwise).  Every label is the exact fixed point dist[u] = min over links u->v of
+    cost + dist[v].  A node's successor is, among its links within 1e-9 (relative) of that minimum, the
+    one with the smallest next node id, then the smallest link id, so the implied paths are
+    lexicographically smallest.  The rounds run once per distinct (cost column, destination): a bin
+    whose cost column equals that of the next lower bin in use shares its labels.  The successors are
+    built on the first read of `Trees.succ`; costs must not change before.
     """
     arrays = network.arrays
     bins = np.asarray(bins, dtype=np.intp)
     destinations = np.asarray(destinations, dtype=int)
     dest = np.array([arrays.node_index[d] for d in destinations.tolist()], dtype=np.intp)
-    # sorted(set()), not np.unique: the first np.unique call adds 1.6 MB of resident memory
-    used = np.array(sorted(set(bins.tolist())), dtype=np.intp)
-    for b in used.tolist():
+    same, prev = {}, None  # per used bin, the first bin of its run of equal cost columns
+    for b in sorted(set(bins.tolist())):  # not np.unique: its first call adds 1.6 MB of resident memory
         bad = np.flatnonzero(~(costs[:, b] >= 0))
         if bad.size:
             raise ValueError(f"negative cost {costs[bad[0], b]} on link {arrays.order[bad[0]]} in bin {b}")
-    n_cols, n_nodes = len(bins), len(arrays.nodes)
-    dist = np.full((n_cols, n_nodes), np.inf)
-    flat = dist.reshape(-1)
-    cols = np.arange(n_cols)
-    front = cols * n_nodes + dest
+        same[b] = same[prev] if prev is not None and np.array_equal(costs[:, b], costs[:, prev]) else b
+        prev = b
+    label_of = {}  # one label column per distinct (cost bin, destination), numbered in order of first request
+    col_of = [label_of.setdefault(key, len(label_of)) for key in zip(map(same.get, bins.tolist()), dest.tolist())]
+    col_of = slice(None) if len(label_of) == len(bins) else col_of  # all distinct: the labels are the columns
+    label_bins, label_dest = np.array(list(label_of), dtype=np.intp).reshape(-1, 2).T
+    n_labels, n_nodes = len(label_of), len(arrays.nodes)
+    labels = np.full((n_labels, n_nodes), np.inf)
+    flat = labels.reshape(-1)
+    front = np.arange(n_labels) * n_nodes + label_dest
     flat[front] = 0.0
     improved = np.zeros(flat.size, dtype=bool)
 
@@ -374,7 +382,7 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
         offset = (lo - (degree.cumsum() - degree)).repeat(degree)
         arc = arrays.in_arcs[np.arange(entry.size) + offset]
         col = col[entry]
-        cand = flat[front][entry] + costs[arc, bins[col]]
+        cand = flat[front][entry] + costs[arc, label_bins[col]]
         target = col * n_nodes + arrays.tail[arc]
         better = cand < flat[target]
         target = target[better]
@@ -383,24 +391,23 @@ def shortest_paths(network: Network, costs: np.ndarray, bins, destinations) -> T
         front = improved.nonzero()[0]
         improved[front] = False
 
-    # Tight links, one cost bin at a time: the first tight link of each node in
-    # out_arcs order is its successor.
-    succ = np.full((n_cols, n_nodes), -1, dtype=int)
-    arcs = arrays.out_arcs
-    if arcs.size:
-        out_tail, out_head = arrays.tail[arcs], arrays.head[arcs]
-        out_rows = np.append(arcs, -1)
-        positions = np.arange(arcs.size)
-        for b in used.tolist():
-            rows = np.flatnonzero(bins == b)
-            d = dist[rows]
-            cand = costs[arcs, b] + d[:, out_head]
-            d_tail = d[:, out_tail]
-            tight = np.isfinite(cand) & (cand <= d_tail + 1e-9 * np.maximum(1.0, d_tail))
-            first = np.minimum.reduceat(np.where(tight, positions, arcs.size), arrays.out_starts, axis=1)
-            succ[rows[:, None], arrays.out_nodes] = out_rows[first]
-        succ[cols, dest] = -1
-    return Trees(bins, destinations, dist, succ, dest)
+    def successors():
+        # A node's first link in out_arcs order within the tolerance of its label is its successor (none where
+        # it cannot reach); blocks of columns keep the temporaries, one entry per column and link, within dist's size.
+        succ = np.full(labels.shape, -1, dtype=int)
+        arcs, step = arrays.out_arcs, max(1, labels.size // max(1, arrays.out_arcs.size))
+        heads, tails, positions, rows = arrays.head[arcs], arrays.tail[arcs], np.arange(arcs.size), np.append(arcs, -1)
+        for lo in range(0, n_labels, step):
+            d, block = labels[lo : lo + step], slice(lo, lo + step)
+            tol = np.where(d < np.inf, d + 1e-9 * np.maximum(1.0, d), -np.inf)
+            cand = costs[arcs, label_bins[block, None]]
+            cand += d[:, heads]
+            tight = np.where(cand <= tol[:, tails], positions, arcs.size)
+            succ[block, arrays.out_nodes] = rows[np.minimum.reduceat(tight, arrays.out_starts, axis=1)]
+        succ[np.arange(n_labels), label_dest] = -1
+        return succ[col_of]
+
+    return Trees(bins, destinations, labels[col_of], successors, dest)
 
 
 def enumerate_paths(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pedflow import assignment
 from pedflow.assignment import (
     AssignmentState,
     costs_from_loading,
@@ -15,7 +16,7 @@ from pedflow.assignment import (
 )
 from pedflow.config import ScenarioConfig
 from pedflow.loading import load_network as load_flows
-from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, default_capacity
+from pedflow.network import DemandProfile, Link, Network, Node, TimeGrid, Trees, default_capacity
 from pedflow.scenarios import PRESET_PVDF, generate_corridor_scenario, generate_grid_scenario, make_grid_network
 
 
@@ -229,6 +230,24 @@ class TestRunDue:
         state, report = run_due(net, demand, cfg, loader=loader)
         assert calls == [0, 1, 2]
         assert state.loading is not None
+
+    def test_the_last_trees_never_build_successors(self, monkeypatch):
+        # the trees after the last loading serve only the gap's shortest times
+        net, demand, cfg = generate_grid_scenario(preset=1)
+        cfg = ScenarioConfig(dt=cfg.dt, horizon=cfg.horizon, max_iters=3, gap_tol=1e-15)
+        calls, builds = [], []
+
+        def traced(*args):
+            trees, call = shortest_paths(*args), len(calls)
+            calls.append(call)
+            return Trees(trees.bins, trees.destinations, trees.dist,
+                         lambda: builds.append(call) or trees.succ, trees.dest_nodes)
+
+        monkeypatch.setattr(assignment, "shortest_paths", traced)
+        state, report = run_due(net, demand, cfg)
+        assert report.iterations == 3
+        assert calls == [0, 1, 2, 3]
+        assert builds == [0, 1, 2]  # each built once, on its first read
 
     def test_unreachable_destination_raises(self):
         net = Network([Node(1), Node(2)], [Link(1, 2, 1, 2.0, 4.0, 1.5, 5.4, 0.5, 8.1)])

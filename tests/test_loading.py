@@ -231,6 +231,18 @@ class TestStuckMass:
                                                r"destination 3"):
             load_flows(net, grid, demand, TurningFractions(grid.n_bins, trees, movements))
 
+    def test_demand_queued_without_a_turning_fraction_stops_the_loading(self):
+        # no movements and no successor: the origin's queue has nowhere to go
+        net = make_corridor_network(2, origins={1}, destinations={3})
+        grid = TimeGrid(1.0, 20.0)
+        demand = DemandProfile()
+        demand.add(1, 3, 0.0, 1.0)
+        succ = np.full((1, len(net.nodes)), -1)
+        trees = Trees(np.array([0]), np.array([3]), np.zeros(succ.shape), succ,
+                      np.array([net.arrays.node_index[3]]))
+        with pytest.raises(RuntimeError, match=r"queued at origin 1 with no turning fraction toward destination 3"):
+            load_flows(net, grid, demand, TurningFractions(grid.n_bins, trees))
+
 
 class TestConservationTolerance:
     def test_curve_checks_scale_with_the_trips_loaded(self):

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,7 +255,53 @@ def trees_problems(draw):
     return net, costs, columns
 
 
+@st.composite
+def repeated_column_problems(draw):
+    """trees_problems widened to up to 8 bins, each a copy of one of its drawn
+    cost columns, so that runs of equal columns are common; a penalty may add
+    to one link from some bin on; the columns requested repeat bins and
+    destinations."""
+    net, costs, _ = draw(trees_problems())
+    n_bins = draw(st.integers(1, 8))
+    costs = costs[:, draw(st.lists(st.integers(0, costs.shape[1] - 1), min_size=n_bins, max_size=n_bins))]
+    if len(net.links) and draw(st.booleans()):
+        start = draw(st.integers(0, n_bins - 1))
+        costs[draw(st.integers(0, len(net.links) - 1)), start:] += draw(COSTS)
+    columns = st.tuples(st.integers(0, n_bins - 1), st.sampled_from(sorted(net.nodes)))
+    return net, costs, draw(st.lists(columns, min_size=1, max_size=16))
+
+
 class TestShortestPathKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_column_problems())
+    def test_every_column_as_if_built_alone(self, problem):
+        net, costs, columns = problem
+        trees = shortest_paths(net, costs, [b for b, _ in columns], [d for _, d in columns])
+        for c, (b, dest) in enumerate(columns):
+            alone = shortest_paths(net, costs[:, b : b + 1], [0], [dest])
+            assert trees.dist[c].tobytes() == alone.dist[0].tobytes()
+            assert trees.succ[c].tobytes() == alone.succ[0].tobytes()
+
+    def test_memory_stays_near_the_output_at_desk_scale(self):
+        """Criterion 11's shape: 240 columns over 120 distinct cost bins on the
+        50x50 grid (9,800 links).  The trees and their successors allocate at
+        most 3x the output, dist and succ; a successor pass over every column
+        at once would allocate several arrays of one entry per column and link,
+        each 4x the size of dist."""
+        n = 50
+        net = make_grid_network(n, origins={1, n * n}, destinations={1, n * n})
+        free = net.arrays.free_flow
+        costs = free[:, None] * (1.0 + np.random.default_rng(0).random((len(free), 120)))
+        tracemalloc.start()
+        try:
+            trees = shortest_paths(net, costs, np.repeat(np.arange(120), 2), [1, n * n] * 120)
+            succ = trees.succ
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert succ.shape == (240, n * n)
+        assert peak <= 3 * (trees.dist.nbytes + succ.nbytes)
+
     @settings(max_examples=200, deadline=None)
     @given(trees_problems())
     def test_matches_heap_dijkstra_reference(self, problem):
